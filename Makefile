@@ -81,12 +81,14 @@ altd-smoke:
 	$(GO) test -v -run TestDaemonSmoke ./cmd/altd/
 	$(GO) test -run 'TestReplayEquivalence|TestServerHTTPWire|TestServerConcurrentSwarmSerializes' ./internal/ctrl/
 
-# Short fuzz pass over the Erlang-B / Equation-15 invariants (CI smoke; the
-# checked-in corpora under internal/erlang/testdata/fuzz always run in
+# Short fuzz pass over the Erlang-B / Equation-15 invariants and the
+# trace-file reader (CI smoke; the checked-in corpora under
+# internal/erlang/testdata/fuzz and internal/sim/testdata/fuzz always run in
 # plain `go test`).
 fuzz-smoke:
 	$(GO) test ./internal/erlang/ -run '^$$' -fuzz FuzzErlangB -fuzztime 10s
 	$(GO) test ./internal/erlang/ -run '^$$' -fuzz FuzzProtectionLevel -fuzztime 10s
+	$(GO) test ./internal/sim/ -run '^$$' -fuzz FuzzReadTrace -fuzztime 10s
 
 # Run every example end to end with reduced horizons (the CI examples
 # smoke job). Output goes to /dev/null; a non-zero exit is the signal.

@@ -593,19 +593,46 @@ func exportScenario() {
 // runVerify executes a fast end-to-end self-check of the reproduction's
 // headline claims and exits nonzero on any failure — the CI entry point.
 func runVerify(p experiments.SimParams) {
+	checks, err := verifyClaims(p)
+	if err != nil {
+		fatal(err)
+	}
 	failures := 0
-	check := func(name string, ok bool, detail string) {
+	for _, c := range checks {
 		status := "PASS"
-		if !ok {
+		if !c.ok {
 			status = "FAIL"
 			failures++
 		}
-		fmt.Printf("%-52s %s  %s\n", name, status, detail)
+		fmt.Printf("%-52s %s  %s\n", c.name, status, c.detail)
+	}
+	if failures > 0 {
+		fmt.Printf("%d check(s) FAILED\n", failures)
+		os.Exit(1)
+	}
+	fmt.Println("all reproduction self-checks passed")
+}
+
+// claimCheck is one headline reproduction claim and whether it held.
+type claimCheck struct {
+	name   string
+	ok     bool
+	detail string
+}
+
+// verifyClaims evaluates the headline reproduction claims behind `altsim
+// verify`: the Table 1 loads and protection levels, the §4.2.2 path census,
+// and the quadrangle ordering including controlled <= single-path. The
+// quadrangle runs at most 4 seeds to horizon 60 whatever p asks for.
+func verifyClaims(p experiments.SimParams) ([]claimCheck, error) {
+	var checks []claimCheck
+	check := func(name string, ok bool, detail string) {
+		checks = append(checks, claimCheck{name, ok, detail})
 	}
 
 	tbl, err := experiments.Table1()
 	if err != nil {
-		fatal(err)
+		return nil, err
 	}
 	check("Table 1: fitted loads match published Λ",
 		tbl.MaxLoadError < 1e-4, fmt.Sprintf("max |ΔΛ| = %.2g", tbl.MaxLoadError))
@@ -616,7 +643,7 @@ func runVerify(p experiments.SimParams) {
 
 	census, err := experiments.CensusNSFNet(11)
 	if err != nil {
-		fatal(err)
+		return nil, err
 	}
 	check("§4.2.2 path census (H=11: ≈9 mean, 5 min, 15 max)",
 		census.MinAlternates == 5 && census.MaxAlternates == 15 &&
@@ -631,7 +658,7 @@ func runVerify(p experiments.SimParams) {
 	}
 	sweep, err := experiments.Quadrangle([]float64{85, 100}, 0, p)
 	if err != nil {
-		fatal(err)
+		return nil, err
 	}
 	at := func(name string, x float64) float64 {
 		for _, pt := range sweep.SeriesByName(name).Points {
@@ -652,10 +679,5 @@ func runVerify(p experiments.SimParams) {
 	check("quadrangle: guarantee (controlled <= single + ε)",
 		at("controlled-alternate", 100) <= at("single-path", 100)+0.005,
 		fmt.Sprintf("ctrl %.4f vs single %.4f", at("controlled-alternate", 100), at("single-path", 100)))
-
-	if failures > 0 {
-		fmt.Printf("%d check(s) FAILED\n", failures)
-		os.Exit(1)
-	}
-	fmt.Println("all reproduction self-checks passed")
+	return checks, nil
 }

@@ -47,20 +47,26 @@ func ErlangBound(g *graph.Graph, m *traffic.Matrix) (Result, error) {
 	if total <= 0 {
 		return Result{}, fmt.Errorf("bound: no offered traffic")
 	}
+	// The demand matrix, hoisted out of the per-cut loop as a dense
+	// row-major copy; the cut sums still run in (i, j) order.
+	n := g.NumNodes()
+	dem := make([]float64, n*n)
+	for i := 0; i < n; i++ {
+		for j := 0; j < n; j++ {
+			if i != j {
+				dem[i*n+j] = m.Demand(graph.NodeID(i), graph.NodeID(j))
+			}
+		}
+	}
 	best := Result{Blocking: -1}
 	g.ForEachCut(func(c graph.Cut) bool {
 		var fwdT, bwdT float64
-		n := g.NumNodes()
 		for i := 0; i < n; i++ {
-			for j := 0; j < n; j++ {
-				if i == j {
-					continue
-				}
-				d := m.Demand(graph.NodeID(i), graph.NodeID(j))
+			iIn := c.Contains(graph.NodeID(i))
+			for j, d := range dem[i*n : i*n+n] {
 				if d == 0 {
 					continue
 				}
-				iIn := c.Contains(graph.NodeID(i))
 				jIn := c.Contains(graph.NodeID(j))
 				switch {
 				case iIn && !jIn:
@@ -71,12 +77,13 @@ func ErlangBound(g *graph.Graph, m *traffic.Matrix) (Result, error) {
 			}
 		}
 		fwdC, bwdC := g.CrossingCapacity(c)
+		fwdB, bwdB := erlang.BPair(fwdT, fwdC, bwdT, bwdC)
 		val := 0.0
 		if fwdT > 0 {
-			val += fwdT / total * erlang.B(fwdT, fwdC)
+			val += fwdT / total * fwdB
 		}
 		if bwdT > 0 {
-			val += bwdT / total * erlang.B(bwdT, bwdC)
+			val += bwdT / total * bwdB
 		}
 		if val > best.Blocking {
 			best = Result{

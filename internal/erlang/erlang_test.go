@@ -342,3 +342,42 @@ func TestProtectionLevelTraced(t *testing.T) {
 		t.Fatalf("zero load: got %d, called=%v", got, called)
 	}
 }
+
+// TestBPairMatchesB holds the paired kernel to two separate B calls bit
+// for bit, over chains of equal and unequal length, zero loads and zero
+// capacities, and requires B's panic on invalid input.
+func TestBPairMatchesB(t *testing.T) {
+	loads := []float64{0, 1e-9, 0.5, 3, 74.2, 90, 250.75, 1e6}
+	caps := []int{0, 1, 2, 17, 100, 101, 640}
+	for _, l1 := range loads {
+		for _, c1 := range caps {
+			for _, l2 := range loads {
+				for _, c2 := range caps {
+					b1, b2 := BPair(l1, c1, l2, c2)
+					w1, w2 := B(l1, c1), B(l2, c2)
+					if math.Float64bits(b1) != math.Float64bits(w1) || math.Float64bits(b2) != math.Float64bits(w2) {
+						t.Fatalf("BPair(%v, %d, %v, %d) = (%v, %v), B gives (%v, %v)", l1, c1, l2, c2, b1, b2, w1, w2)
+					}
+				}
+			}
+		}
+	}
+	for _, bad := range [][2]float64{{-1, 3}, {3, math.NaN()}, {math.Inf(1), 3}} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("BPair(%v, 5, %v, 5): want panic", bad[0], bad[1])
+				}
+			}()
+			BPair(bad[0], 5, bad[1], 5)
+		}()
+	}
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Error("BPair with a negative capacity: want panic")
+			}
+		}()
+		BPair(3, 5, 3, -1)
+	}()
+}

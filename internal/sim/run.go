@@ -187,13 +187,14 @@ type depEntry struct {
 }
 
 // departureHeap schedules call teardowns. It is a hand-rolled binary
-// min-heap over packed (epoch, pool-slot) entries, and the path of each
-// in-progress call lives in a pooled slice reused across departures, so
-// steady-state heap traffic allocates nothing. Sift operations perform
-// container/heap's exact comparison sequence but move the sifted entry as
-// a hole (write it once at its final position instead of swapping at every
-// level) — the resulting array layout, and therefore pop order including
-// equal-epoch ties, matches the seed implementation bit-for-bit.
+// min-heap over packed (epoch, path reference) entries, and the path of
+// each in-progress call lives in a pooled slice reused across departures,
+// so steady-state heap traffic allocates nothing. The array layout after
+// every operation — and therefore pop order, equal-epoch ties included —
+// is the layout container/heap would produce for the same operations:
+// siftUp performs container/heap's exact comparison sequence with a hole,
+// and siftDownFrom is a bottom-up sift that provably leaves the same
+// layout (see siftDownFrom and DESIGN.md §8).
 type departureHeap struct {
 	ents []depEntry // heap-ordered scheduled departures
 	pool []paths.Path
@@ -310,34 +311,54 @@ func (h *departureHeap) pop() (at float64, p paths.Path) {
 }
 
 // siftDown restores the heap invariant below index i (container/heap's
-// down — same comparison sequence).
+// down — same resulting layout).
 func (h *departureHeap) siftDown(i int) {
 	h.siftDownFrom(i, h.ents[i])
 }
 
-// siftDownFrom places entry e into the hole at index i, moving smaller
-// children up — container/heap's down with the same comparisons against
-// e's epoch at every level, so the final layout matches the swap form
-// bit-for-bit.
+// siftDownFrom places entry e into the hole at index i. It is a
+// bottom-up sift (Floyd; Wegener): the hole first walks to a leaf along
+// the min-child path — children chosen as container/heap's down chooses
+// them, ties going left — pulling each child up one level, and then e
+// climbs back while its parent's epoch is not below its own. The epochs
+// pulled up along the min-child path are non-decreasing, so the entries
+// the climb moves back down are exactly the suffix container/heap's down
+// would have left in place: the final layout matches the top-down sift
+// bit-for-bit, while the descent costs one comparison per level instead
+// of two (on a pop, e is the former last entry, which usually belongs
+// near the bottom).
 //
 //altlint:hotpath
 func (h *departureHeap) siftDownFrom(i int, e depEntry) {
 	ents := h.ents
 	n := len(ents)
+	top := i
 	for {
-		j1 := 2*i + 1
-		if j1 >= n {
+		j := 2*i + 1
+		if j+1 >= n {
+			if j < n {
+				ents[i] = ents[j]
+				i = j
+			}
 			break
 		}
-		j, c := j1, ents[j1]
-		if j2 := j1 + 1; j2 < n && ents[j2].at < c.at {
-			j, c = j2, ents[j2]
+		// Both children exist; take the right one only if strictly
+		// smaller, a select the compiler can emit without a branch.
+		k := 0
+		if ents[j+1].at < ents[j].at {
+			k = 1
 		}
-		if !(c.at < e.at) {
-			break
-		}
-		ents[i] = c
+		j += k
+		ents[i] = ents[j]
 		i = j
+	}
+	for i > top {
+		p := (i - 1) / 2
+		if ents[p].at < e.at {
+			break
+		}
+		ents[i] = ents[p]
+		i = p
 	}
 	ents[i] = e
 }

@@ -94,12 +94,16 @@ func TestGenerateTraceSubstreamIsolation(t *testing.T) {
 }
 
 func TestGenerateTracePanicsOnBadHorizon(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("expected panic")
-		}
-	}()
-	GenerateTrace(traffic.Uniform(2, 1), 0, 1)
+	for _, h := range []float64{0, math.NaN(), math.Inf(1)} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("horizon %v: expected panic", h)
+				}
+			}()
+			GenerateTrace(traffic.Uniform(2, 1), h, 1)
+		}()
+	}
 }
 
 func TestStateAdmissionSemantics(t *testing.T) {

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 
 	"repro/internal/graph"
@@ -44,11 +45,9 @@ func (c *traceCursor) Seed() int64      { return c.t.Seed }
 // Source returns the trace as an ArrivalSource (a fresh cursor per call).
 func (t *Trace) Source() ArrivalSource { return &traceCursor{t: t} }
 
-// pairStream is one O-D pair's pending Poisson arrival.
+// pairStream is one O-D pair's Poisson arrival process. Its pending
+// arrival epoch lives in the pair's merge-heap key, not here.
 type pairStream struct {
-	// next is the pair's next arrival epoch (always < horizon while the
-	// pair is on the merge heap).
-	next         float64
 	rate         float64
 	origin, dest graph.NodeID
 	// ar draws inter-arrival times; hr, when non-nil, draws holding times
@@ -59,18 +58,36 @@ type pairStream struct {
 	dist   HoldingDist
 }
 
+// mergeKey is one pair's entry on the merge heap: its pending arrival
+// epoch (always < horizon while the pair is on the heap) and its index in
+// Stream.pairs. Keys are ordered by (next, idx); the epoch sits inline so
+// a sift compares without touching pairs.
+type mergeKey struct {
+	next float64
+	idx  int32
+}
+
+// less is the merge order: epoch first, then pair index. Pair indices
+// follow (origin, dest) order — newStream appends pairs in that order and
+// Split preserves parent order — so this is the (epoch, origin, dest)
+// order the trace sort uses.
+func (a mergeKey) less(b mergeKey) bool {
+	return a.next < b.next || (!(b.next < a.next) && a.idx < b.idx)
+}
+
 // Stream merges every O-D pair's Poisson process lazily: it keeps one
-// pending arrival per pair on an indexed min-heap and draws further
+// pending arrival per pair on a min-heap of mergeKeys and draws further
 // variates only as calls are consumed. Memory is O(pairs) instead of the
 // O(calls) of a materialized Trace, while the emitted call sequence —
 // epochs, holding times, IDs, and tie order — is byte-for-byte the sequence
 // GenerateTrace (or GenerateTraceHolding) would produce for the same
 // arguments, because each pair consumes its substream in the same order and
 // the heap breaks equal-epoch ties by the same (origin, dest) order the
-// trace sort uses.
+// trace sort uses. The keys form a strict total order (no two pairs share
+// an index), so the heap's emission order does not depend on its layout.
 type Stream struct {
 	pairs   []pairStream
-	heap    []int32 // indices into pairs, min-ordered by (next, origin, dest)
+	heap    []mergeKey
 	horizon float64
 	seed    int64
 	emitted int // next call ID
@@ -89,7 +106,7 @@ func NewStreamHolding(m *traffic.Matrix, horizon float64, seed int64, dist Holdi
 }
 
 func newStream(m *traffic.Matrix, horizon float64, seed int64, dist HoldingDist, dual bool) (*Stream, error) {
-	if horizon <= 0 {
+	if !(horizon > 0) || math.IsInf(horizon, 1) {
 		return nil, fmt.Errorf("sim: horizon %v", horizon)
 	}
 	n := m.Size()
@@ -117,12 +134,12 @@ func newStream(m *traffic.Matrix, horizon float64, seed int64, dist HoldingDist,
 			}
 			// The first inter-arrival draw happens eagerly, exactly as the
 			// materializing generator's loop does before its horizon check.
-			ps.next = xrand.Exp(ps.ar, 1/rate)
-			if ps.next >= horizon {
+			next := xrand.Exp(ps.ar, 1/rate)
+			if next >= horizon {
 				continue
 			}
 			s.pairs = append(s.pairs, ps)
-			s.heapPush(int32(len(s.pairs) - 1))
+			s.heapPush(mergeKey{next: next, idx: int32(len(s.pairs) - 1)})
 		}
 	}
 	return s, nil
@@ -133,12 +150,13 @@ func (s *Stream) Next() (Call, bool) {
 	if len(s.heap) == 0 {
 		return Call{}, false
 	}
-	p := &s.pairs[s.heap[0]]
+	top := s.heap[0]
+	p := &s.pairs[top.idx]
 	c := Call{
 		ID:      s.emitted,
 		Origin:  p.origin,
 		Dest:    p.dest,
-		Arrival: p.next,
+		Arrival: top.next,
 	}
 	s.emitted++
 	// Draw order per pair matches the materializing generators: the holding
@@ -149,17 +167,17 @@ func (s *Stream) Next() (Call, bool) {
 	} else {
 		c.Holding = xrand.Exp(p.ar, 1)
 	}
-	p.next += xrand.Exp(p.ar, 1/p.rate)
-	if p.next >= s.horizon {
+	top.next += xrand.Exp(p.ar, 1/p.rate)
+	if top.next >= s.horizon {
 		// Pair exhausted: remove it from the merge heap.
 		last := len(s.heap) - 1
-		s.heap[0] = s.heap[last]
+		k := s.heap[last]
 		s.heap = s.heap[:last]
 		if last > 0 {
-			s.heapDown(0)
+			s.heapDown(k)
 		}
 	} else {
-		s.heapDown(0)
+		s.heapDown(top)
 	}
 	return c, true
 }
@@ -176,8 +194,9 @@ func (s *Stream) Peek() (at float64, origin, dest graph.NodeID, ok bool) {
 	if len(s.heap) == 0 {
 		return 0, 0, 0, false
 	}
-	p := &s.pairs[s.heap[0]]
-	return p.next, p.origin, p.dest, true
+	top := s.heap[0]
+	p := &s.pairs[top.idx]
+	return top.next, p.origin, p.dest, true
 }
 
 // Split partitions a fresh stream's O-D pairs into k substreams by the
@@ -200,8 +219,13 @@ func (s *Stream) Split(k int, class func(origin, dest graph.NodeID) int) ([]*Str
 	for b := range out {
 		out[b] = &Stream{horizon: s.horizon, seed: s.seed}
 	}
-	// Pairs move in parent order, so each substream's pair layout — and
-	// therefore its heap tie-breaking — is deterministic.
+	// Pairs move in parent index order, so each substream's pairs stay in
+	// (origin, dest) order and its (epoch, index) heap order still breaks
+	// ties the way the trace sort does.
+	next := make([]float64, len(s.pairs))
+	for _, key := range s.heap {
+		next[key.idx] = key.next
+	}
 	for i := range s.pairs {
 		p := &s.pairs[i]
 		b := class(p.origin, p.dest)
@@ -210,7 +234,7 @@ func (s *Stream) Split(k int, class func(origin, dest graph.NodeID) int) ([]*Str
 		}
 		t := out[b]
 		t.pairs = append(t.pairs, *p)
-		t.heapPush(int32(len(t.pairs) - 1))
+		t.heapPush(mergeKey{next: next[i], idx: int32(len(t.pairs) - 1)})
 	}
 	s.pairs, s.heap = nil, nil
 	return out, nil
@@ -220,7 +244,7 @@ func (s *Stream) Split(k int, class func(origin, dest graph.NodeID) int) ([]*Str
 // reproduces the corresponding GenerateTrace/GenerateTraceHolding output
 // exactly; the generators are implemented this way.
 func (s *Stream) Materialize() *Trace {
-	var calls []Call
+	calls := make([]Call, 0, s.expectedCalls())
 	for {
 		c, ok := s.Next()
 		if !ok {
@@ -231,48 +255,62 @@ func (s *Stream) Materialize() *Trace {
 	return &Trace{Calls: calls, Horizon: s.horizon, Seed: s.seed}
 }
 
-// streamLess orders pending arrivals by (epoch, origin, dest) — the same
-// total order the materializing generators sort by, so equal-epoch ties
-// across pairs resolve identically.
-func (s *Stream) streamLess(a, b int32) bool {
-	pa, pb := &s.pairs[a], &s.pairs[b]
-	if pa.next != pb.next {
-		return pa.next < pb.next
+// expectedCalls sizes Materialize's slice. Each pending pair emits its
+// pending arrival plus a Poisson number more, of mean rate·(horizon −
+// next), so the remaining count is len(heap) plus a Poisson variable of
+// mean and variance μ = Σ rate·(horizon − next). Four standard deviations
+// of headroom make growing the slice — a copy of everything drained so
+// far — rare.
+func (s *Stream) expectedCalls() int {
+	mu := 0.0
+	for _, k := range s.heap {
+		mu += s.pairs[k.idx].rate * (s.horizon - k.next)
 	}
-	if pa.origin != pb.origin {
-		return pa.origin < pb.origin
-	}
-	return pa.dest < pb.dest
+	return len(s.heap) + int(mu+4*math.Sqrt(mu)) + 16
 }
 
-func (s *Stream) heapPush(idx int32) {
-	s.heap = append(s.heap, idx)
-	i := len(s.heap) - 1
+// heapPush adds a key (container/heap's up, hole form).
+//
+//altlint:hotpath
+func (s *Stream) heapPush(k mergeKey) {
+	s.heap = append(s.heap, k)
+	h := s.heap
+	i := len(h) - 1
 	for i > 0 {
 		parent := (i - 1) / 2
-		if !s.streamLess(s.heap[i], s.heap[parent]) {
+		if !k.less(h[parent]) {
 			break
 		}
-		s.heap[i], s.heap[parent] = s.heap[parent], s.heap[i]
+		h[i] = h[parent]
 		i = parent
 	}
+	h[i] = k
 }
 
-func (s *Stream) heapDown(i int) {
-	n := len(s.heap)
+// heapDown places k into the hole at the root, moving smaller children
+// up (container/heap's down, hole form). Unlike the departure heap's,
+// this sift stays top-down: a bottom-up form measured slower here.
+//
+//altlint:hotpath
+func (s *Stream) heapDown(k mergeKey) {
+	h := s.heap
+	n := len(h)
+	i := 0
 	for {
-		left := 2*i + 1
-		if left >= n {
+		j := 2*i + 1
+		if j >= n {
 			break
 		}
-		small := left
-		if right := left + 1; right < n && s.streamLess(s.heap[right], s.heap[left]) {
-			small = right
+		c := h[j]
+		if j+1 < n && h[j+1].less(c) {
+			j++
+			c = h[j]
 		}
-		if !s.streamLess(s.heap[small], s.heap[i]) {
+		if !c.less(k) {
 			break
 		}
-		s.heap[i], s.heap[small] = s.heap[small], s.heap[i]
-		i = small
+		h[i] = c
+		i = j
 	}
+	h[i] = k
 }

@@ -3,9 +3,18 @@ package sim
 import (
 	"bufio"
 	"encoding/gob"
+	"errors"
 	"fmt"
 	"io"
+	"math"
 )
+
+// ErrMalformedTrace reports a trace file that decodes but violates the
+// trace invariants: a non-finite or non-positive horizon, call IDs out of
+// sequence, unsorted arrivals, or a call whose arrival lies outside
+// [0, horizon), whose holding time is not finite and positive, or whose
+// endpoints are negative or equal.
+var ErrMalformedTrace = errors.New("sim: malformed trace")
 
 // Trace file magics guard against feeding arbitrary gob streams to
 // ReadTrace. v1 files are magic + payload; v2 files carry an explicit
@@ -38,7 +47,9 @@ func (t *Trace) Encode(w io.Writer) error {
 
 // ReadTrace deserializes a trace written by Encode — either the legacy v1
 // layout or the versioned v2 layout — and validates its structural
-// invariants (sorted arrivals, contiguous IDs, positive holdings).
+// invariants (finite values, sorted arrivals, contiguous IDs, positive
+// holdings); a trace that violates them is rejected with an error
+// wrapping ErrMalformedTrace.
 func ReadTrace(r io.Reader) (*Trace, error) {
 	dec := gob.NewDecoder(bufio.NewReader(r))
 	var magic string
@@ -64,19 +75,22 @@ func ReadTrace(r io.Reader) (*Trace, error) {
 	if err := dec.Decode(&t); err != nil {
 		return nil, fmt.Errorf("sim: reading trace: %w", err)
 	}
-	if t.Horizon <= 0 {
-		return nil, fmt.Errorf("sim: trace horizon %v", t.Horizon)
+	// Every comparison is written so that NaN fails it: a NaN epoch would
+	// slip past `x < bound` checks and then corrupt the departure heap.
+	if !(t.Horizon > 0) || math.IsInf(t.Horizon, 1) {
+		return nil, fmt.Errorf("%w: horizon %v", ErrMalformedTrace, t.Horizon)
 	}
-	prev := -1.0
+	prev := 0.0
 	for i, c := range t.Calls {
 		if c.ID != i {
-			return nil, fmt.Errorf("sim: trace call %d has ID %d", i, c.ID)
+			return nil, fmt.Errorf("%w: call %d has ID %d", ErrMalformedTrace, i, c.ID)
+		}
+		if !(c.Holding > 0) || math.IsInf(c.Holding, 1) || !(c.Arrival >= 0 && c.Arrival < t.Horizon) ||
+			c.Origin < 0 || c.Dest < 0 || c.Origin == c.Dest {
+			return nil, fmt.Errorf("%w: call %d: %+v", ErrMalformedTrace, i, c)
 		}
 		if c.Arrival < prev {
-			return nil, fmt.Errorf("sim: trace not sorted at call %d", i)
-		}
-		if c.Holding <= 0 || c.Arrival < 0 || c.Arrival >= t.Horizon || c.Origin == c.Dest {
-			return nil, fmt.Errorf("sim: malformed call %d: %+v", i, c)
+			return nil, fmt.Errorf("%w: not sorted at call %d", ErrMalformedTrace, i)
 		}
 		prev = c.Arrival
 	}
