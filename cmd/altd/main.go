@@ -106,6 +106,16 @@ func parseFlags(args []string, stderr io.Writer) (*options, error) {
 	return o, nil
 }
 
+// Front-end timeouts. ReadHeaderTimeout bounds a client that opens a
+// connection and trickles its headers; IdleTimeout closes keep-alive
+// connections left unused. There is deliberately no WriteTimeout: it
+// would cut off /debug/pprof/profile and /debug/pprof/trace, which
+// stream for as many seconds as the caller asks.
+const (
+	readHeaderTimeout = 10 * time.Second
+	idleTimeout       = 2 * time.Minute
+)
+
 // daemon is one assembled control plane: the ctrl server, its HTTP
 // front end, the estimator tick loop, and the event sinks.
 type daemon struct {
@@ -222,7 +232,11 @@ func newDaemon(o *options, stderr io.Writer) (*daemon, error) {
 	mux.HandleFunc("GET /debug/pprof/profile", pprof.Profile)
 	mux.HandleFunc("GET /debug/pprof/symbol", pprof.Symbol)
 	mux.HandleFunc("GET /debug/pprof/trace", pprof.Trace)
-	d.http = &http.Server{Handler: mux}
+	d.http = &http.Server{
+		Handler:           mux,
+		ReadHeaderTimeout: readHeaderTimeout,
+		IdleTimeout:       idleTimeout,
+	}
 
 	ln, err := net.Listen("tcp", o.addr)
 	if err != nil {

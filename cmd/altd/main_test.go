@@ -253,3 +253,28 @@ func offlineTruth(t *testing.T, sc *netio.Scenario, horizon float64, seed int64)
 	}
 	return tr, res, admitted
 }
+
+// TestDaemonHTTPTimeouts pins the front end's timeouts: headers and idle
+// keep-alive connections are bounded, and there is no write timeout,
+// which would cut off streaming pprof profiles.
+func TestDaemonHTTPTimeouts(t *testing.T) {
+	scenario, _ := writeScenario(t, 25)
+	o, err := parseFlags([]string{"-scenario", scenario, "-addr", "127.0.0.1:0", "-tick", "0"}, io.Discard)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d, err := newDaemon(o, io.Discard)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.ln.Close()
+	if d.http.ReadHeaderTimeout != readHeaderTimeout || readHeaderTimeout <= 0 {
+		t.Errorf("ReadHeaderTimeout = %v, want %v (> 0)", d.http.ReadHeaderTimeout, readHeaderTimeout)
+	}
+	if d.http.IdleTimeout != idleTimeout || idleTimeout <= 0 {
+		t.Errorf("IdleTimeout = %v, want %v (> 0)", d.http.IdleTimeout, idleTimeout)
+	}
+	if d.http.WriteTimeout != 0 || d.http.ReadTimeout != 0 {
+		t.Errorf("WriteTimeout = %v, ReadTimeout = %v, want none", d.http.WriteTimeout, d.http.ReadTimeout)
+	}
+}

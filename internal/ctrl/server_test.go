@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync"
 	"testing"
 
@@ -248,5 +249,40 @@ func TestServerEstimateEpochs(t *testing.T) {
 	hot := g.LinkBetween(0, 1)
 	if st.Estimates[hot] == 0 {
 		t.Error("hot link has zero Λ̂ despite sustained offered load")
+	}
+}
+
+// TestServerRejectsOversizedBody: a body over maxRequestBytes is refused
+// with 413 and the wire's JSON error shape on every decoding endpoint,
+// and the server keeps serving.
+func TestServerRejectsOversizedBody(t *testing.T) {
+	g := netmodel.Quadrangle()
+	srv, err := NewServer(Config{Graph: g, Policy: quadranglePolicy(t, g, 85)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv.Start()
+	defer srv.Shutdown()
+	ts := httptest.NewServer(srv.Mux())
+	defer ts.Close()
+	cl := ts.Client()
+
+	big := []byte(`{"from":"` + strings.Repeat("a", maxRequestBytes) + `"}`)
+	for _, ep := range []string{"/admit", "/release", "/topology"} {
+		resp, err := cl.Post(ts.URL+ep, "application/json", bytes.NewReader(big))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var body struct{ Error string }
+		derr := json.NewDecoder(resp.Body).Decode(&body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusRequestEntityTooLarge || derr != nil || body.Error == "" {
+			t.Errorf("%s: status %d, body error %q (decode %v); want 413 with a JSON error", ep, resp.StatusCode, body.Error, derr)
+		}
+	}
+	at := 1.0
+	if ar, code := post[AdmitResponse](t, cl, ts.URL+"/admit",
+		AdmitRequest{ID: 1, From: "node0", To: "node1", At: &at}); code != http.StatusOK || !ar.Admitted {
+		t.Fatalf("admit after oversized bodies: %+v (%d)", ar, code)
 	}
 }

@@ -93,11 +93,23 @@ func (s *Server) nodeByName(name string) (graph.NodeID, bool) {
 	return graph.InvalidNode, false
 }
 
-// decode parses a JSON body with unknown fields rejected.
+// maxRequestBytes caps a request body. Every request the API accepts is
+// a few hundred bytes; the cap only stops a client from making a handler
+// buffer an arbitrarily large body.
+const maxRequestBytes = 64 << 10
+
+// decode parses a JSON body with unknown fields rejected. A body over
+// maxRequestBytes is refused with 413, any other decode failure with 400.
 func decode(w http.ResponseWriter, req *http.Request, v any) bool {
-	dec := json.NewDecoder(req.Body)
+	dec := json.NewDecoder(http.MaxBytesReader(w, req.Body, maxRequestBytes))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(v); err != nil {
+		var tooLarge *http.MaxBytesError
+		if errors.As(err, &tooLarge) {
+			http.Error(w, fmt.Sprintf(`{"error":%q}`, fmt.Sprintf("request body exceeds %d bytes", tooLarge.Limit)),
+				http.StatusRequestEntityTooLarge)
+			return false
+		}
 		http.Error(w, fmt.Sprintf(`{"error":%q}`, "bad request: "+err.Error()), http.StatusBadRequest)
 		return false
 	}

@@ -79,9 +79,10 @@ func (s *Scenario) Write(w io.Writer) error {
 // Build materializes the scenario into a graph and traffic matrix, resolving
 // node names and validating the description. Every validation failure wraps
 // ErrInvalidScenario: self-loop or duplicate facilities, non-positive
-// capacities, self-loop or non-finite demands, unknown nodes, and a
-// disconnected topology are all rejected here with the offending element
-// named, rather than surfacing later as a panic inside sim.State.
+// capacities, self-loop or non-finite demands (each, and summed per
+// pair), unknown nodes, and a disconnected topology are all rejected here
+// with the offending element named, rather than surfacing later as a
+// panic inside sim.State or traffic.Matrix.
 func (s *Scenario) Build() (*graph.Graph, *traffic.Matrix, error) {
 	if len(s.Nodes) < 2 {
 		return nil, nil, invalidf("needs at least 2 nodes (got %d)", len(s.Nodes))
@@ -165,7 +166,11 @@ func (s *Scenario) Build() (*graph.Graph, *traffic.Matrix, error) {
 		if d.Erlangs < 0 || math.IsNaN(d.Erlangs) || math.IsInf(d.Erlangs, 0) {
 			return nil, nil, invalidf("demand %s→%s has invalid load %v", d.From, d.To, d.Erlangs)
 		}
-		m.SetDemand(from, to, m.Demand(from, to)+d.Erlangs)
+		sum := m.Demand(from, to) + d.Erlangs
+		if math.IsInf(sum, 0) {
+			return nil, nil, invalidf("demand %s→%s: accumulated load overflows", d.From, d.To)
+		}
+		m.SetDemand(from, to, sum)
 	}
 	return g, m, nil
 }

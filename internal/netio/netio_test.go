@@ -85,6 +85,11 @@ func TestBuildValidation(t *testing.T) {
 			Duplex:  []LinkSpec{{From: "a", To: "b", Capacity: 1}},
 			Demands: []DemandSpec{{From: "a", To: "b", Erlangs: -1}},
 		},
+		"demand sum overflows": {
+			Nodes:   []string{"a", "b"},
+			Duplex:  []LinkSpec{{From: "a", To: "b", Capacity: 1}},
+			Demands: []DemandSpec{{From: "a", To: "b", Erlangs: 1e308}, {From: "a", To: "b", Erlangs: 1e308}},
+		},
 		"unknown demand node": {
 			Nodes:   []string{"a", "b"},
 			Duplex:  []LinkSpec{{From: "a", To: "b", Capacity: 1}},

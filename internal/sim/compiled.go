@@ -145,7 +145,9 @@ const arrivalBatch = 256
 // arrival against instead of re-reading the heap.
 func (l *loop) nextEpochs() (dep, plan float64) {
 	dep, plan = math.Inf(1), math.Inf(1)
-	if l.deps.len() > 0 {
+	if l.ord != nil {
+		dep = l.ord.nextAt()
+	} else if l.deps.len() > 0 {
 		dep = l.deps.ents[0].at
 	}
 	if l.pi < len(l.plan) {
@@ -180,7 +182,7 @@ func (l *loop) admitOne(fe *fastEngine, c Call, pairIdx int, measured bool, win 
 		alt0 = f.AltStart[p]
 	}
 	if !inRange || alt0 == start {
-		l.admittedRow(c, 0, 0, false, measured)
+		l.admittedRow(c, 0, slotEmpty, 0, 0, false, measured)
 		return
 	}
 
@@ -217,7 +219,7 @@ func (l *loop) admitOne(fe *fastEngine, c Call, pairIdx int, measured bool, win 
 			last[id] = c.Arrival
 			occ[id]++
 		}
-		l.admittedRow(c, primOff, int32(len(prim)), false, measured)
+		l.admittedRow(c, 0, pr, primOff, int32(len(prim)), false, measured)
 		return
 	}
 	if !f.NoAlternates {
@@ -247,7 +249,7 @@ func (l *loop) admitOne(fe *fastEngine, c Call, pairIdx int, measured bool, win 
 					last[id] = c.Arrival
 					occ[id]++
 				}
-				l.admittedRow(c, altOff, int32(len(alt)), true, measured)
+				l.admittedRow(c, 0, r, altOff, int32(len(alt)), true, measured)
 				return
 			}
 		}
@@ -271,6 +273,14 @@ func (l *loop) runCompiled(comp *routetable.Compiled) {
 	var fe fastEngine
 	fe.reset(l.st, comp)
 	l.deps.base = comp.Links
+	if l.cfg.Trace != nil && len(l.plan) == 0 {
+		// Without plan events the table never changes mid-run, so slots
+		// can name its rows.
+		l.ord = buildOrder(l.cfg.Trace.Calls, l.horizon, comp.RowOff, comp.Links)
+	}
+	if orderHook != nil {
+		orderHook(l.ord != nil)
+	}
 	occ := l.st.occ
 	util := l.util[:len(occ)]
 	last := l.last[:len(occ)]
@@ -288,6 +298,7 @@ func (l *loop) runCompiled(comp *routetable.Compiled) {
 
 	for {
 		var batch []Call
+		first := idx // trace index of batch[0] (trace replay only)
 		if l.cfg.Trace != nil {
 			if idx >= len(calls) {
 				return
@@ -319,7 +330,7 @@ func (l *loop) runCompiled(comp *routetable.Compiled) {
 			batch = buf
 		}
 
-		for _, c := range batch {
+		for k, c := range batch {
 			if c.Arrival >= l.horizon {
 				return
 			}
@@ -376,7 +387,7 @@ func (l *loop) runCompiled(comp *routetable.Compiled) {
 				// No primaries for the pair: the source table would yield
 				// the empty path, which every state admits as a zero-hop
 				// primary. Book nothing, carry the call.
-				l.admittedRow(c, 0, 0, false, measured)
+				l.admittedRow(c, first+k, slotEmpty, 0, 0, false, measured)
 				if dep := c.Arrival + c.Holding; dep < nextDep {
 					nextDep = dep
 				}
@@ -425,7 +436,7 @@ func (l *loop) runCompiled(comp *routetable.Compiled) {
 					last[id] = c.Arrival
 					occ[id]++
 				}
-				l.admittedRow(c, primOff, int32(len(prim)), false, measured)
+				l.admittedRow(c, first+k, pr, primOff, int32(len(prim)), false, measured)
 				if dep := c.Arrival + c.Holding; dep < nextDep {
 					nextDep = dep
 				}
@@ -459,7 +470,7 @@ func (l *loop) runCompiled(comp *routetable.Compiled) {
 							last[id] = c.Arrival
 							occ[id]++
 						}
-						l.admittedRow(c, altOff, int32(len(alt)), true, measured)
+						l.admittedRow(c, first+k, r, altOff, int32(len(alt)), true, measured)
 						if dep := c.Arrival + c.Holding; dep < nextDep {
 							nextDep = dep
 						}

@@ -1,0 +1,10 @@
+package sim
+
+// SetOrderHook installs f to observe, for each sequential compiled run,
+// whether its departures came from a precomputed order, and returns a
+// function restoring the previous observer.
+func SetOrderHook(f func(ordered bool)) (restore func()) {
+	prev := orderHook
+	orderHook = f
+	return func() { orderHook = prev }
+}

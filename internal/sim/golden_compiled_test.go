@@ -73,7 +73,10 @@ func TestCompiledEngineSelection(t *testing.T) {
 }
 
 // runPair executes the same configuration on both engines and requires
-// bit-identical Results and byte-identical JSONL event streams.
+// bit-identical Results and byte-identical JSONL event streams. The
+// compiled engine also runs without a sink — its uninstrumented drains
+// differ from the instrumented ones — and must reproduce the
+// interpreted Result on its own.
 func runPair(t *testing.T, label string, cfg sim.Config) {
 	t.Helper()
 	if !sim.CompilesFor(cfg.Policy, cfg.Graph) {
@@ -86,6 +89,12 @@ func runPair(t *testing.T, label string, cfg sim.Config) {
 	if err != nil {
 		t.Fatalf("%s: compiled: %v", label, err)
 	}
+	bareCfg := cfg
+	bareCfg.Sink = nil
+	bare, err := sim.Run(bareCfg)
+	if err != nil {
+		t.Fatalf("%s: compiled, nil sink: %v", label, err)
+	}
 	interpSink := &recordSink{}
 	interpCfg := cfg
 	interpCfg.Policy = uncompilable{cfg.Policy}
@@ -95,6 +104,7 @@ func runPair(t *testing.T, label string, cfg sim.Config) {
 		t.Fatalf("%s: interpreted: %v", label, err)
 	}
 	requireSameResult(t, label, got, want)
+	requireSameResult(t, label+"/nil-sink", bare, want)
 	requireSameEvents(t, label, compSink.events, interpSink.events)
 	if g, w := jsonlBytes(t, compSink.events), jsonlBytes(t, interpSink.events); !bytes.Equal(g, w) {
 		t.Fatalf("%s: JSONL bytes diverge between engines", label)

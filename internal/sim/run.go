@@ -408,10 +408,14 @@ func (h *departureHeap) extract(hit func(paths.Path) bool) []torndown {
 // decision itself — which the compiled path reproduces exactly for the
 // policies it accepts.
 type loop struct {
-	cfg     Config
-	st      *State
-	res     *Result
-	deps    departureHeap
+	cfg  Config
+	st   *State
+	res  *Result
+	deps departureHeap
+	// ord, when non-nil, replaces deps on a trace replay whose departure
+	// order is fixed in advance (see depOrder); only the sequential
+	// compiled engine sets it.
+	ord     *depOrder
 	plan    []FailureEvent
 	pi      int
 	horizon float64
@@ -668,6 +672,10 @@ func (l *loop) drainTo(epoch float64) {
 		l.drainPlanTo(epoch)
 		return
 	}
+	if l.ord != nil {
+		l.drainOrdered(epoch)
+		return
+	}
 	if l.instrumented {
 		// No plan events remain: the drain is a pure departure loop.
 		for len(l.deps.ents) > 0 && l.deps.ents[0].at <= epoch {
@@ -793,11 +801,17 @@ func (l *loop) admitted(c Call, p paths.Path, alternate, measured bool) {
 
 // admittedRow is admitted for a compiled route-table row (see
 // departureHeap.pushRow): the path is base[off:off+hops] and the booking
-// avoids pool traffic on plan-less runs.
-func (l *loop) admittedRow(c Call, off, hops int32, alternate, measured bool) {
-	l.deps.pushRow(c.Arrival+c.Holding, off, hops, depMeta{
-		id: int64(c.ID), origin: int32(c.Origin), dest: int32(c.Dest),
-	})
+// avoids pool traffic on plan-less runs. Under a departure order the
+// teardown is instead booked as row (slotEmpty for the zero-hop path) in
+// the slot of trace call ci; ci and row are unused otherwise.
+func (l *loop) admittedRow(c Call, ci int, row, off, hops int32, alternate, measured bool) {
+	if l.ord != nil {
+		l.ord.slot[ci] = row
+	} else {
+		l.deps.pushRow(c.Arrival+c.Holding, off, hops, depMeta{
+			id: int64(c.ID), origin: int32(c.Origin), dest: int32(c.Dest),
+		})
+	}
 	l.admitTally(c, paths.Path{Links: l.deps.base[off : off+hops]}, alternate, measured)
 }
 
@@ -883,6 +897,10 @@ func (l *loop) runInterpreted(src ArrivalSource) {
 // horizon, materializes the per-pair maps, and normalizes utilization.
 func (l *loop) finish() {
 	l.drainTo(l.horizon)
+	if l.ord != nil {
+		l.ord.release()
+		l.ord = nil
+	}
 	for id := range l.occ {
 		l.flushLink(graph.LinkID(id), l.horizon)
 	}
