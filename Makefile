@@ -82,13 +82,14 @@ altd-smoke:
 	$(GO) test -run 'TestReplayEquivalence|TestServerHTTPWire|TestServerConcurrentSwarmSerializes' ./internal/ctrl/
 
 # Short fuzz pass over the Erlang-B / Equation-15 invariants, the
-# trace-file reader and the scenario reader (CI smoke; the checked-in
-# corpora under internal/{erlang,sim,netio}/testdata/fuzz always run in
-# plain `go test`).
+# trace-file reader, the failure-plan reader and the scenario reader (CI
+# smoke; the checked-in corpora under internal/{erlang,sim,netio}/testdata/fuzz
+# always run in plain `go test`).
 fuzz-smoke:
 	$(GO) test ./internal/erlang/ -run '^$$' -fuzz FuzzErlangB -fuzztime 10s
 	$(GO) test ./internal/erlang/ -run '^$$' -fuzz FuzzProtectionLevel -fuzztime 10s
 	$(GO) test ./internal/sim/ -run '^$$' -fuzz FuzzReadTrace -fuzztime 10s
+	$(GO) test ./internal/sim/ -run '^$$' -fuzz FuzzFailurePlanJSON -fuzztime 10s
 	$(GO) test ./internal/netio/ -run '^$$' -fuzz FuzzScenario -fuzztime 10s
 
 # Run every example end to end with reduced horizons (the CI examples

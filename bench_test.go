@@ -317,6 +317,38 @@ func BenchmarkRunCalls(b *testing.B) {
 	})
 }
 
+// BenchmarkReplayOnce is BenchmarkRunCalls/replay with every iteration
+// replaying a fresh Trace value over the same calls, so no replay finds
+// a departure ranking cached by an earlier one: the cost of a trace that
+// is replayed only once (one policy, one run), where "replay" measures a
+// trace replayed many times.
+func BenchmarkReplayOnce(b *testing.B) {
+	g := altroute.NSFNet()
+	m, err := altroute.NSFNetNominalMatrix()
+	if err != nil {
+		b.Fatal(err)
+	}
+	scheme, err := altroute.NewScheme(g, m, altroute.SchemeOptions{H: 11})
+	if err != nil {
+		b.Fatal(err)
+	}
+	pol := scheme.Controlled()
+	const horizon, warmup = 60, 10
+	tr := altroute.GenerateTrace(m, horizon, 1)
+	var calls int64
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		once := &altroute.Trace{Calls: tr.Calls, Horizon: tr.Horizon, Seed: tr.Seed}
+		res, err := altroute.Run(altroute.RunConfig{Graph: g, Policy: pol, Trace: once, Warmup: warmup})
+		if err != nil {
+			b.Fatal(err)
+		}
+		calls += res.Offered
+	}
+	b.StopTimer()
+	b.ReportMetric(float64(calls)/b.Elapsed().Seconds(), "calls/sec")
+}
+
 // BenchmarkRunShardedCalls measures the sharded engine on its natural
 // workload: the metro topology under a locality-weighted matrix, replaying
 // one pregenerated trace. "shards=1" is the no-overhead contract — the

@@ -110,11 +110,59 @@ func parseFlags(args []string, stderr io.Writer) (*options, error) {
 // connection and trickles its headers; IdleTimeout closes keep-alive
 // connections left unused. There is deliberately no WriteTimeout: it
 // would cut off /debug/pprof/profile and /debug/pprof/trace, which
-// stream for as many seconds as the caller asks.
+// stream for as many seconds as the caller asks. Nor is there a
+// ReadTimeout: its expiry cancels the request context, which ends those
+// profiles early too. Request bodies are bounded per request instead
+// (bodyReadTimeout, see bodyDeadline).
 const (
 	readHeaderTimeout = 10 * time.Second
 	idleTimeout       = 2 * time.Minute
+	bodyReadTimeout   = 10 * time.Second
 )
+
+// bodyDeadline bounds how long a handler waits for a request body, so a
+// client that sends its headers and then stalls mid-body cannot hold a
+// handler (and its connection) forever; ReadHeaderTimeout covers only
+// the headers. Each request with a body gets a connection read deadline
+// timeout from now, which the control API's decoder turns into 408. The
+// deadline is cleared when the body reaches its end: left in place, it
+// would fail the server's background read while the decision waits in
+// the queue and cancel the request's context. Requests without a body
+// (the GET endpoints, pprof's streaming profiles included) are left
+// alone, because their background read is already running. The wall
+// clock is read here, not in internal/ctrl, which stays deterministic.
+type bodyDeadline struct {
+	next    http.Handler
+	timeout time.Duration
+}
+
+func (b *bodyDeadline) ServeHTTP(w http.ResponseWriter, req *http.Request) {
+	if req.Body != nil && req.Body != http.NoBody {
+		rc := http.NewResponseController(w)
+		// Only a writer without deadline support or a closed connection
+		// refuses; the body is then read without a deadline.
+		if rc.SetReadDeadline(time.Now().Add(b.timeout)) == nil {
+			req.Body = &deadlineBody{ReadCloser: req.Body, rc: rc}
+		}
+	}
+	b.next.ServeHTTP(w, req)
+}
+
+// deadlineBody clears its connection's read deadline at the body's end.
+// On an error other than EOF the deadline stays, so net/http's discard
+// of an unread remainder is bounded too.
+type deadlineBody struct {
+	io.ReadCloser
+	rc *http.ResponseController
+}
+
+func (b *deadlineBody) Read(p []byte) (int, error) {
+	n, err := b.ReadCloser.Read(p)
+	if err == io.EOF {
+		_ = b.rc.SetReadDeadline(time.Time{}) // the body is done; a closed connection has no deadline to clear
+	}
+	return n, err
+}
 
 // daemon is one assembled control plane: the ctrl server, its HTTP
 // front end, the estimator tick loop, and the event sinks.
@@ -233,7 +281,7 @@ func newDaemon(o *options, stderr io.Writer) (*daemon, error) {
 	mux.HandleFunc("GET /debug/pprof/symbol", pprof.Symbol)
 	mux.HandleFunc("GET /debug/pprof/trace", pprof.Trace)
 	d.http = &http.Server{
-		Handler:           mux,
+		Handler:           &bodyDeadline{next: mux, timeout: bodyReadTimeout},
 		ReadHeaderTimeout: readHeaderTimeout,
 		IdleTimeout:       idleTimeout,
 	}

@@ -1,11 +1,15 @@
 package main
 
 import (
+	"bufio"
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"io"
+	"net"
 	"net/http"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"sort"
@@ -276,5 +280,138 @@ func TestDaemonHTTPTimeouts(t *testing.T) {
 	}
 	if d.http.WriteTimeout != 0 || d.http.ReadTimeout != 0 {
 		t.Errorf("WriteTimeout = %v, ReadTimeout = %v, want none", d.http.WriteTimeout, d.http.ReadTimeout)
+	}
+}
+
+// testDaemon assembles a daemon on a quadrangle scenario with estimation
+// and ticks off and its body timeout shortened to timeout; its HTTP
+// handler is served by the caller, its decision loop started by the
+// caller.
+func testDaemon(t *testing.T, timeout time.Duration) *daemon {
+	t.Helper()
+	scenario, _ := writeScenario(t, 25)
+	o, err := parseFlags([]string{"-scenario", scenario, "-addr", "127.0.0.1:0", "-est-window", "0", "-tick", "0"}, io.Discard)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d, err := newDaemon(o, io.Discard)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d.ln.Close()
+	bd, ok := d.http.Handler.(*bodyDeadline)
+	if !ok || bd.timeout != bodyReadTimeout || bodyReadTimeout <= 0 {
+		t.Fatalf("daemon handler %T does not bound request bodies by %v", d.http.Handler, bodyReadTimeout)
+	}
+	bd.timeout = timeout
+	return d
+}
+
+// rawPost writes one POST to conn and returns the response status read
+// back through br.
+func rawPost(t *testing.T, conn net.Conn, br *bufio.Reader, path, body string) int {
+	t.Helper()
+	if _, err := fmt.Fprintf(conn, "POST %s HTTP/1.1\r\nHost: altd\r\nContent-Type: application/json\r\nContent-Length: %d\r\n\r\n%s",
+		path, len(body), body); err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.ReadResponse(br, nil)
+	if err != nil {
+		t.Fatalf("%s: reading response: %v", path, err)
+	}
+	io.Copy(io.Discard, resp.Body)
+	resp.Body.Close()
+	return resp.StatusCode
+}
+
+// TestDaemonSlowBody: a raw-TCP client that sends its headers and part of
+// a body, then stalls, gets 408 with a JSON error once the body timeout
+// passes instead of holding the handler, and the daemon keeps serving.
+// The stall may come mid-value or after a complete JSON value short of
+// Content-Length.
+func TestDaemonSlowBody(t *testing.T) {
+	d := testDaemon(t, 200*time.Millisecond)
+	d.srv.Start()
+	defer d.srv.Shutdown()
+	ts := httptest.NewServer(d.http.Handler)
+	defer ts.Close()
+
+	for _, partial := range []string{`{"id":1,`, `{"id":1,"from":"a","to":"b","at":1}`} {
+		conn, err := net.Dial("tcp", ts.Listener.Addr().String())
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { conn.Close() })
+		if _, err := fmt.Fprintf(conn, "POST /admit HTTP/1.1\r\nHost: altd\r\nContent-Type: application/json\r\nContent-Length: %d\r\n\r\n%s",
+			len(partial)+16, partial); err != nil {
+			t.Fatal(err)
+		}
+		conn.SetReadDeadline(time.Now().Add(10 * time.Second))
+		resp, err := http.ReadResponse(bufio.NewReader(conn), nil)
+		if err != nil {
+			t.Fatalf("stalled after %q: no response: %v", partial, err)
+		}
+		var body struct{ Error string }
+		derr := json.NewDecoder(resp.Body).Decode(&body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusRequestTimeout || derr != nil || body.Error == "" {
+			t.Fatalf("stalled after %q: status %d, body error %q (decode %v); want 408 with a JSON error",
+				partial, resp.StatusCode, body.Error, derr)
+		}
+	}
+
+	ar, code := postJSON[ctrl.AdmitResponse](t, ts.URL+"/admit", map[string]any{"id": 1, "from": "a", "to": "b", "at": 1})
+	if code != http.StatusOK || !ar.Admitted {
+		t.Fatalf("admit after stalled bodies: %+v (%d)", ar, code)
+	}
+}
+
+// TestDaemonBodyDeadlineCleared: a decision that waits in the queue for
+// longer than the body timeout keeps its request context, gets its
+// reply, and leaves the keep-alive connection usable, because the body
+// deadline is cleared at the body's end. A streaming GET without a body
+// (a one-second CPU profile) runs to its end with its context intact.
+func TestDaemonBodyDeadlineCleared(t *testing.T) {
+	const timeout = 100 * time.Millisecond
+	d := testDaemon(t, timeout)
+	ctxErrs := make(chan error, 3)
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
+		d.http.Handler.ServeHTTP(w, req)
+		ctxErrs <- req.Context().Err()
+	}))
+	defer ts.Close()
+
+	conn, err := net.Dial("tcp", ts.Listener.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	conn.SetReadDeadline(time.Now().Add(10 * time.Second))
+	br := bufio.NewReader(conn)
+	// The decision loop starts only after the body timeout has passed, so
+	// the first admit waits in the queue past it.
+	time.AfterFunc(4*timeout, d.srv.Start)
+	defer d.srv.Shutdown()
+	for id := 1; id <= 2; id++ {
+		if code := rawPost(t, conn, br, "/admit", fmt.Sprintf(`{"id":%d,"from":"a","to":"b","at":1}`, id)); code != http.StatusOK {
+			t.Fatalf("admit %d: status %d", id, code)
+		}
+		if err := <-ctxErrs; err != nil {
+			t.Fatalf("admit %d: request context ended: %v", id, err)
+		}
+	}
+
+	start := time.Now()
+	resp, err := http.Get(ts.URL + "/debug/pprof/profile?seconds=1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	io.Copy(io.Discard, resp.Body)
+	resp.Body.Close()
+	if err := <-ctxErrs; err != nil || resp.StatusCode != http.StatusOK {
+		t.Fatalf("profile: status %d, request context %v", resp.StatusCode, err)
+	}
+	if took := time.Since(start); took < time.Second {
+		t.Fatalf("1 s profile returned after %v", took)
 	}
 }

@@ -4,7 +4,9 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
+	"os"
 
 	"repro/internal/graph"
 )
@@ -99,18 +101,33 @@ func (s *Server) nodeByName(name string) (graph.NodeID, bool) {
 const maxRequestBytes = 64 << 10
 
 // decode parses a JSON body with unknown fields rejected. A body over
-// maxRequestBytes is refused with 413, any other decode failure with 400.
+// maxRequestBytes is refused with 413, one whose read deadline passes
+// with 408, any other decode failure with 400.
+//
+// decode reads the body to its end, the bytes after the JSON value
+// included, so a front end that puts a read deadline on the body (altd
+// does; ctrl itself reads no clock) bounds a client that stalls after a
+// complete value too, and sees the body's end to clear that deadline.
 func decode(w http.ResponseWriter, req *http.Request, v any) bool {
-	dec := json.NewDecoder(http.MaxBytesReader(w, req.Body, maxRequestBytes))
+	body := http.MaxBytesReader(w, req.Body, maxRequestBytes)
+	dec := json.NewDecoder(body)
 	dec.DisallowUnknownFields()
-	if err := dec.Decode(v); err != nil {
+	err := dec.Decode(v)
+	if err == nil {
+		_, err = io.Copy(io.Discard, body)
+	}
+	if err != nil {
 		var tooLarge *http.MaxBytesError
-		if errors.As(err, &tooLarge) {
+		switch {
+		case errors.As(err, &tooLarge):
 			http.Error(w, fmt.Sprintf(`{"error":%q}`, fmt.Sprintf("request body exceeds %d bytes", tooLarge.Limit)),
 				http.StatusRequestEntityTooLarge)
-			return false
+		case errors.Is(err, os.ErrDeadlineExceeded):
+			http.Error(w, fmt.Sprintf(`{"error":%q}`, "request body not received before the read deadline"),
+				http.StatusRequestTimeout)
+		default:
+			http.Error(w, fmt.Sprintf(`{"error":%q}`, "bad request: "+err.Error()), http.StatusBadRequest)
 		}
-		http.Error(w, fmt.Sprintf(`{"error":%q}`, "bad request: "+err.Error()), http.StatusBadRequest)
 		return false
 	}
 	return true

@@ -76,16 +76,23 @@ func (s *Scenario) Write(w io.Writer) error {
 	return enc.Encode(s)
 }
 
+// MaxNodes is the largest node count Build accepts. The traffic matrix
+// and the simulator's per-pair counters are sized n², so an unbounded
+// count would let one scenario document demand arbitrary memory. The
+// largest topology the benchmarks build (netmodel.Metro) has 200 nodes.
+const MaxNodes = 1024
+
 // Build materializes the scenario into a graph and traffic matrix, resolving
 // node names and validating the description. Every validation failure wraps
-// ErrInvalidScenario: self-loop or duplicate facilities, non-positive
-// capacities, self-loop or non-finite demands (each, and summed per
-// pair), unknown nodes, and a disconnected topology are all rejected here
-// with the offending element named, rather than surfacing later as a
-// panic inside sim.State or traffic.Matrix.
+// ErrInvalidScenario: fewer than 2 or more than MaxNodes nodes, self-loop
+// or duplicate facilities, non-positive capacities, self-loop or
+// non-finite demands (each, and summed per pair), unknown nodes, and a
+// disconnected topology are all rejected here with the offending element
+// named, rather than surfacing later as a panic inside sim.State or
+// traffic.Matrix.
 func (s *Scenario) Build() (*graph.Graph, *traffic.Matrix, error) {
-	if len(s.Nodes) < 2 {
-		return nil, nil, invalidf("needs at least 2 nodes (got %d)", len(s.Nodes))
+	if len(s.Nodes) < 2 || len(s.Nodes) > MaxNodes {
+		return nil, nil, invalidf("needs 2 to %d nodes (got %d)", MaxNodes, len(s.Nodes))
 	}
 	g := graph.New()
 	ids := make(map[string]graph.NodeID, len(s.Nodes))

@@ -2,6 +2,7 @@ package netio
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"strings"
 	"testing"
@@ -100,6 +101,11 @@ func TestBuildValidation(t *testing.T) {
 			Links: []LinkSpec{{From: "a", To: "b", Capacity: 1}, {From: "b", To: "a", Capacity: 1}},
 		},
 	}
+	tooMany := make([]string, MaxNodes+1)
+	for i := range tooMany {
+		tooMany[i] = fmt.Sprintf("n%d", i)
+	}
+	cases["too many nodes"] = Scenario{Nodes: tooMany}
 	for name, s := range cases {
 		_, _, err := s.Build()
 		if err == nil {

@@ -276,7 +276,7 @@ func (l *loop) runCompiled(comp *routetable.Compiled) {
 	if l.cfg.Trace != nil && len(l.plan) == 0 {
 		// Without plan events the table never changes mid-run, so slots
 		// can name its rows.
-		l.ord = buildOrder(l.cfg.Trace.Calls, l.horizon, comp.RowOff, comp.Links)
+		l.ord = newDepOrder(l.cfg.Trace, l.horizon, comp.RowOff, comp.Links)
 	}
 	if orderHook != nil {
 		orderHook(l.ord != nil)

@@ -8,3 +8,7 @@ func SetOrderHook(f func(ordered bool)) (restore func()) {
 	orderHook = f
 	return func() { orderHook = prev }
 }
+
+// RankBuilds returns how many departure rankings of traces have been
+// built so far, cached or declined.
+func RankBuilds() int64 { return rankBuilds.Load() }

@@ -157,7 +157,8 @@ func (n nodeRef) resolve(g *graph.Graph) (graph.NodeID, error) {
 // ReadFailurePlanJSON decodes a plan from a JSON array of
 // {"t":…,"from":…,"to":…,"down":…[,"duplex":true]} entries — from/to are
 // node ids or node names — resolving endpoints to link ids on the graph
-// (the altsim -failures file format).
+// (the altsim -failures file format). Negative epochs are rejected here,
+// so every plan it returns is one Run accepts for g.
 func ReadFailurePlanJSON(r io.Reader, g *graph.Graph) (*FailurePlan, error) {
 	var entries []planEntryJSON
 	dec := json.NewDecoder(r)
@@ -166,6 +167,9 @@ func ReadFailurePlanJSON(r io.Reader, g *graph.Graph) (*FailurePlan, error) {
 	}
 	plan := &FailurePlan{}
 	for i, e := range entries {
+		if !(e.T >= 0) {
+			return nil, fmt.Errorf("sim: failure plan entry %d: negative epoch %v", i, e.T)
+		}
 		a, err := e.From.resolve(g)
 		if err != nil {
 			return nil, fmt.Errorf("sim: failure plan entry %d: %w", i, err)

@@ -393,6 +393,9 @@ func TestReadFailurePlanJSON(t *testing.T) {
 	if _, err := sim.ReadFailurePlanJSON(strings.NewReader(`[{"t":1,"from":99,"to":0,"down":true}]`), g); err == nil {
 		t.Fatal("out-of-range node id must error")
 	}
+	if _, err := sim.ReadFailurePlanJSON(strings.NewReader(`[{"t":-0.5,"from":0,"to":1,"down":true}]`), g); err == nil {
+		t.Fatal("negative epoch must error")
+	}
 	if _, err := sim.ReadFailurePlanJSON(strings.NewReader(`garbage`), g); err == nil {
 		t.Fatal("malformed JSON must error")
 	}

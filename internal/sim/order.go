@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/graph"
 	"repro/internal/paths"
@@ -13,24 +14,21 @@ import (
 // departure is fixed before the run starts. In a loss network an
 // admitted call leaves at Arrival + Holding whatever route it took, so a
 // replayed trace determines the departure sequence; the policy only
-// decides which calls are booked. buildOrder ranks the offered calls by
-// that epoch once, admission writes the booked route row into the call's
-// slot, and the drains advance a cursor over the ranks, skipping calls
-// that were blocked. Pops cost O(1) instead of the heap's O(log
-// in-flight) sift.
+// decides which calls are booked. The trace's ranking (traceRank) lists
+// the calls by that epoch once per trace, admission writes the booked
+// route row into the call's slot, and the drains advance a cursor over
+// the ranks, skipping calls that were blocked. Pops cost O(1) instead of
+// the heap's O(log in-flight) sift.
 //
 // The order is used only when it is provably the departure heap's pop
-// order (see buildOrder), so results and event streams are bit-identical
-// to the heap engine's. It costs 8 bytes per offered call, ord (4) and
-// slot (4): epochs are recomputed from the trace with the expression the
-// heap is pushed with, and the sort's bucket offsets live in slot.
+// order (see buildRank), so results and event streams are bit-identical
+// to the heap engine's. A run owns only its slots, 4 bytes per offered
+// call; the ranking is shared by every run of the trace.
 type depOrder struct {
-	// calls is the replayed trace the epochs are read from.
-	calls []Call
-	// ord lists call indices by rank: ascending distinct epochs up to
-	// the last epoch at or before the horizon, then the later ones in
-	// call order (they never depart inside the run).
+	// ord and at are the trace's ranking (traceRank.ord and .at), read
+	// only.
 	ord []int32
+	at  []float64
 	// slot holds, by call index, the booked call's route-table row,
 	// slotUnbooked while the call is undecided or blocked, or slotEmpty
 	// for a call carried on the zero-hop path.
@@ -43,16 +41,40 @@ type depOrder struct {
 	links  []graph.LinkID
 }
 
+// traceRank is a trace's departure ranking at one run horizon, cached on
+// the Trace (Trace.ranked) by the first plan-less compiled replay and
+// shared read-only by every later one with the same key. A ranking that
+// buildRank declined has nil ord and at (an accepted one with no
+// departures inside the run has empty, non-nil ones), so such a trace
+// keeps the heap without re-running the checks.
+type traceRank struct {
+	// first, calls and horizon are the key: the ranked Calls slice's
+	// element 0 (nil when empty) and length, and the run horizon's bits.
+	// Holding first keeps the ranked array alive, so a replacement slice
+	// can never reuse its address.
+	first   *Call
+	calls   int
+	horizon uint64
+	// n is the number of offered calls (the prefix arriving before the
+	// horizon); a run's slots are indexed by them.
+	n int
+	// ord lists by rank the indices of the calls departing at or before
+	// the horizon, in ascending epoch order. Later calls never depart
+	// inside the run and are not ranked.
+	ord []int32
+	// at holds the epochs by rank: at[r] is epochOf(&calls[ord[r]]).
+	at []float64
+}
+
 // Slot markers for calls that release no route-table row.
 const (
 	slotUnbooked int32 = -1
 	slotEmpty    int32 = -2
 )
 
-// orderPool recycles depOrder buffers across runs, so back-to-back
-// replays do not allocate and zero them each time. A reused buffer's
-// contents never leak into a run: buildOrder writes every element a run
-// reads.
+// orderPool recycles depOrder slot buffers across runs, so back-to-back
+// replays do not allocate them each time. A reused buffer's contents
+// never leak into a run: newDepOrder resets every slot the run reads.
 var orderPool sync.Pool // of *depOrder
 
 // orderHook, when non-nil, observes whether each sequential compiled run
@@ -60,14 +82,68 @@ var orderPool sync.Pool // of *depOrder
 // which path ran.
 var orderHook func(ordered bool)
 
+// rankBuilds counts buildRank calls, so tests can assert when a trace is
+// ranked and when its cached ranking is reused.
+var rankBuilds atomic.Int64
+
 // epochOf is a call's departure epoch, computed exactly as the departure
 // heap is pushed with it.
 func epochOf(c *Call) float64 { return c.Arrival + c.Holding }
 
-// buildOrder ranks the departure epochs of the calls the run will offer
-// (the prefix of calls arriving before horizon) and returns the order, or
-// nil when it may not replace the departure heap. It accepts only
-// replays where
+// newDepOrder returns the departure order for a plan-less compiled replay
+// of tr to horizon, or nil when the run must keep the departure heap.
+// rowOff and links are the compiled table the run books rows from.
+func newDepOrder(tr *Trace, horizon float64, rowOff []int32, links []graph.LinkID) *depOrder {
+	o, _ := orderPool.Get().(*depOrder)
+	if o == nil {
+		o = new(depOrder)
+	}
+	rk := tr.ranking(horizon, &o.slot)
+	if rk.ord == nil {
+		orderPool.Put(o)
+		return nil
+	}
+	if cap(o.slot) < rk.n {
+		o.slot = make([]int32, rk.n)
+	}
+	slot := o.slot[:rk.n]
+	for i := range slot {
+		slot[i] = slotUnbooked
+	}
+	o.ord, o.at, o.slot = rk.ord, rk.at, slot
+	o.next = 0
+	o.rowOff, o.links = rowOff, links
+	return o
+}
+
+// ranking returns the trace's departure ranking at horizon: the cached
+// one when its key matches the current Calls slice and horizon, else a
+// fresh buildRank, which is then published for later replays. Concurrent
+// replays that miss together each build the same ranking, and the last
+// to publish wins. scratch is a buffer the build may grow and use for
+// bucket offsets.
+func (tr *Trace) ranking(horizon float64, scratch *[]int32) *traceRank {
+	calls := tr.Calls
+	rk := tr.ranked.Load()
+	if rk == nil || rk.first != firstCall(calls) || rk.calls != len(calls) || rk.horizon != math.Float64bits(horizon) {
+		rk = buildRank(calls, horizon, scratch)
+		tr.ranked.Store(rk)
+	}
+	return rk
+}
+
+// firstCall is the address of calls[0], nil for an empty slice.
+func firstCall(calls []Call) *Call {
+	if len(calls) == 0 {
+		return nil
+	}
+	return &calls[0]
+}
+
+// buildRank ranks the departure epochs of the calls a run to horizon
+// will offer (the prefix of calls arriving before horizon). The returned
+// ranking has nil ord when it may not replace the departure heap. It
+// accepts only replays where
 //
 //   - arrivals are non-decreasing,
 //   - every epoch Arrival + Holding is finite and strictly after its
@@ -79,16 +155,19 @@ func epochOf(c *Call) float64 { return c.Arrival + c.Holding }
 // happens before the admission of the arrival at E, so the call has
 // already been admitted or blocked. Distinct epochs make the heap's pop
 // order unique, so the ranks reproduce it bit for bit. Epochs after the
-// horizon are never popped (no drain passes the horizon) and stay
-// unsorted.
+// horizon are never popped (no drain passes the horizon) and are not
+// ranked.
 //
 // The epochs at or before the horizon are bucket-sorted: one bucket per
 // such epoch over [min, max], then an insertion pass that moves each
 // epoch only within its bucket. Bucket indices are a monotone function of
 // the epoch, so bucket order is epoch order. The insertion pass gives up
 // (the run keeps the heap) once its shifts exceed a fixed multiple of the
-// call count, which bounds the build at O(calls) on any input.
-func buildOrder(calls []Call, horizon float64, rowOff []int32, links []graph.LinkID) *depOrder {
+// call count, which bounds the build at O(calls) on any input. The
+// bucket offsets live in *scratch, grown to the offered call count.
+func buildRank(calls []Call, horizon float64, scratch *[]int32) *traceRank {
+	rankBuilds.Add(1)
+	rk := &traceRank{first: firstCall(calls), calls: len(calls), horizon: math.Float64bits(horizon)}
 	// Pass 1: validate the offered prefix and find the range of the
 	// epochs that can depart inside the run.
 	n, m := 0, 0
@@ -101,7 +180,7 @@ func buildOrder(calls []Call, horizon float64, rowOff []int32, links []graph.Lin
 		}
 		d := epochOf(&calls[n])
 		if !(prev <= a) || !(d > a) || d > math.MaxFloat64 {
-			return nil
+			return rk
 		}
 		prev = a
 		if d <= horizon {
@@ -115,28 +194,24 @@ func buildOrder(calls []Call, horizon float64, rowOff []int32, links []graph.Lin
 		}
 	}
 	if n == 0 || n > math.MaxInt32 {
-		return nil
+		return rk
 	}
 	scale := 0.0
 	if m > 1 {
 		scale = float64(m-1) / (hi - lo)
 		if !(scale <= math.MaxFloat64) {
 			// hi == lo (a tie) or a spread too narrow to bucket.
-			return nil
+			return rk
 		}
 	}
 	calls = calls[:n]
 
-	o, _ := orderPool.Get().(*depOrder)
-	if o == nil {
-		o = new(depOrder)
+	if cap(*scratch) < n {
+		*scratch = make([]int32, n)
 	}
-	if cap(o.ord) < n {
-		o.ord, o.slot = make([]int32, n), make([]int32, n)
-	}
-	ord, slot := o.ord[:n], o.slot[:n]
-	cnt := slot[:m]
+	cnt := (*scratch)[:m]
 	clear(cnt)
+	ord, at := make([]int32, m), make([]float64, m)
 	// bucket is monotone in d: the subtraction, the positive scale and
 	// the truncation each preserve order.
 	bucket := func(d float64) int {
@@ -157,63 +232,54 @@ func buildOrder(calls []Call, horizon float64, rowOff []int32, links []graph.Lin
 		cnt[b] = start
 		start += c
 	}
-	// Pass 3: scatter the call indices into bucket order.
-	tail := int32(m)
+	// Pass 3: scatter the ranked calls and their epochs into bucket
+	// order.
 	for i := range calls {
-		var p int32
 		if d := epochOf(&calls[i]); d <= horizon {
 			b := bucket(d)
-			p = cnt[b]
+			p := cnt[b]
 			cnt[b]++
-		} else {
-			p = tail
-			tail++
+			ord[p], at[p] = int32(i), d
 		}
-		ord[p] = int32(i)
 	}
 	// Insertion pass within buckets; last is the largest epoch placed so
-	// far (the one at ord[j-1]). A tie surfaces as an epoch equal to the
+	// far (the one at at[j-1]). A tie surfaces as an epoch equal to the
 	// left neighbour it stops at.
 	budget := 8 * n
 	last := math.Inf(-1)
 	for j := 0; j < m; j++ {
-		xi := ord[j]
-		x := epochOf(&calls[xi])
+		x := at[j]
 		if last < x {
 			last = x
 			continue
 		}
+		xi := ord[j]
 		tie := !(last > x)
 		k := j
 		for !tie {
-			ord[k] = ord[k-1]
+			ord[k], at[k] = ord[k-1], at[k-1]
 			k--
 			if k == 0 {
 				break
 			}
-			if y := epochOf(&calls[ord[k-1]]); !(y > x) {
+			if y := at[k-1]; !(y > x) {
 				tie = !(y < x)
 				break
 			}
 		}
-		ord[k] = xi
+		ord[k], at[k] = xi, x
 		if budget -= j - k; budget < 0 || tie {
-			orderPool.Put(o)
-			return nil
+			return rk
 		}
 	}
-	for i := range slot {
-		slot[i] = slotUnbooked
-	}
-	o.calls, o.ord, o.slot = calls, ord, slot
-	o.next = 0
-	o.rowOff, o.links = rowOff, links
-	return o
+	rk.n, rk.ord, rk.at = n, ord, at
+	return rk
 }
 
-// release returns the order's buffers to the pool once its run is done.
+// release returns the order's slot buffer to the pool once its run is
+// done.
 func (o *depOrder) release() {
-	o.calls, o.rowOff, o.links = nil, nil, nil
+	o.ord, o.at, o.rowOff, o.links = nil, nil, nil, nil
 	orderPool.Put(o)
 }
 
@@ -221,8 +287,8 @@ func (o *depOrder) release() {
 // The call there may be unbooked: the guard it feeds only triggers a
 // drain, which skips such calls.
 func (o *depOrder) nextAt() float64 {
-	if o.next < len(o.ord) {
-		return epochOf(&o.calls[o.ord[o.next]])
+	if o.next < len(o.at) {
+		return o.at[o.next]
 	}
 	return math.Inf(1)
 }
@@ -243,13 +309,12 @@ func (l *loop) drainOrdered(epoch float64) {
 		return
 	}
 	o := l.ord
-	for ; o.next < len(o.ord); o.next++ {
-		i := o.ord[o.next]
-		t := epochOf(&o.calls[i])
+	for ; o.next < len(o.at); o.next++ {
+		t := o.at[o.next]
 		if !(t <= epoch) {
 			break
 		}
-		if row := o.slot[i]; row != slotUnbooked {
+		if row := o.slot[o.ord[o.next]]; row != slotUnbooked {
 			l.departed(t, o.path(row))
 		}
 	}
@@ -264,20 +329,20 @@ func (l *loop) drainOrdered(epoch float64) {
 //altlint:hotpath
 func (l *loop) drainOrderedFast(epoch float64) {
 	q := l.ord
-	calls, ord, slot := q.calls, q.ord, q.slot
+	at, slot := q.at, q.slot
+	ord := q.ord[:len(at)]
 	rowOff, base := q.rowOff, q.links
 	occ := l.occ
 	util := l.util[:len(occ)]
 	lastF := l.last[:len(occ)]
 	warm, hor := l.cfg.Warmup, l.horizon
 	r := q.next
-	for ; r < len(ord); r++ {
-		i := ord[r]
-		t := epochOf(&calls[i])
+	for ; r < len(at); r++ {
+		t := at[r]
 		if !(t <= epoch) {
 			break
 		}
-		row := slot[i]
+		row := slot[ord[r]]
 		if row < 0 {
 			continue
 		}
@@ -304,9 +369,10 @@ func (l *loop) drainOrderedFast(epoch float64) {
 	q.next = r
 }
 
-// panicIdleLink raises drainFast's (and State.Release's) idle-link panic.
-// It is kept out of line so the cold path's allocation does not count
-// against its hot-path caller.
+// panicIdleLink raises the idle-link panic of the departure drains
+// (drainFast, drainOrderedFast) and of State.Release and ReleaseLink. It
+// is kept out of line so the cold path's allocation does not count
+// against its hot-path callers.
 //
 //go:noinline
 func panicIdleLink(id graph.LinkID) {

@@ -9,12 +9,10 @@ import (
 	"repro/internal/traffic"
 )
 
-// TestBuildOrderMatchesStableSort checks buildOrder's ranks against
-// sort.SliceStable over the offered prefix, keyed by the epoch for
-// departures at or before the horizon and +Inf after it (which keeps the
-// later ones in call order, as buildOrder does), on generated traces with
-// every holding-time family and at a run horizon shorter than the
-// trace's.
+// TestBuildOrderMatchesStableSort checks buildRank's ranks against
+// sort.SliceStable over the offered calls departing at or before the
+// horizon, keyed by the epoch, on generated traces with every
+// holding-time family and at a run horizon shorter than the trace's.
 func TestBuildOrderMatchesStableSort(t *testing.T) {
 	m := traffic.Uniform(4, 90)
 	const horizon = 6.0
@@ -29,45 +27,43 @@ func TestBuildOrderMatchesStableSort(t *testing.T) {
 		}
 		traces[dist.String()] = tr
 	}
+	var scratch []int32
 	for name, tr := range traces {
 		for _, runH := range []float64{horizon, 4.5} {
-			o := buildOrder(tr.Calls, runH, nil, nil)
-			if o == nil {
+			rk := buildRank(tr.Calls, runH, &scratch)
+			if rk.ord == nil {
 				t.Fatalf("%s/h=%v: order declined on a generated trace", name, runH)
 			}
 			n := 0
 			for n < len(tr.Calls) && tr.Calls[n].Arrival < runH {
 				n++
 			}
-			key := func(i int) float64 {
-				if d := tr.Calls[i].Arrival + tr.Calls[i].Holding; d <= runH {
-					return d
+			var ref []int
+			for i := range n {
+				if tr.Calls[i].Arrival+tr.Calls[i].Holding <= runH {
+					ref = append(ref, i)
 				}
-				return math.Inf(1)
 			}
-			ref := make([]int, n)
-			for i := range ref {
-				ref[i] = i
-			}
-			sort.SliceStable(ref, func(a, b int) bool { return key(ref[a]) < key(ref[b]) })
-			if len(o.ord) != n || len(o.slot) != n {
-				t.Fatalf("%s/h=%v: order sized %d/%d, want %d", name, runH, len(o.ord), len(o.slot), n)
+			epoch := func(i int) float64 { return tr.Calls[i].Arrival + tr.Calls[i].Holding }
+			sort.SliceStable(ref, func(a, b int) bool { return epoch(ref[a]) < epoch(ref[b]) })
+			if rk.n != n || len(rk.ord) != len(ref) || len(rk.at) != len(ref) {
+				t.Fatalf("%s/h=%v: ranking over %d calls with %d/%d ranks, want %d and %d",
+					name, runH, rk.n, len(rk.ord), len(rk.at), n, len(ref))
 			}
 			for r, i := range ref {
-				if o.ord[r] != int32(i) {
+				if rk.ord[r] != int32(i) {
 					t.Fatalf("%s/h=%v: rank %d holds call %d (epoch %v), reference call %d (epoch %v)",
-						name, runH, r, o.ord[r], key(int(o.ord[r])), i, key(i))
+						name, runH, r, rk.ord[r], epoch(int(rk.ord[r])), i, epoch(i))
 				}
-				if o.slot[i] != slotUnbooked {
-					t.Fatalf("%s/h=%v: call %d's slot starts as %d, want unbooked", name, runH, i, o.slot[i])
+				if math.Float64bits(rk.at[r]) != math.Float64bits(epoch(i)) {
+					t.Fatalf("%s/h=%v: rank %d epoch %v, want %v", name, runH, r, rk.at[r], epoch(i))
 				}
 			}
-			o.release()
 		}
 	}
 }
 
-// TestBuildOrderDeclines lists the replays buildOrder must leave to the
+// TestBuildOrderDeclines lists the replays buildRank must leave to the
 // departure heap.
 func TestBuildOrderDeclines(t *testing.T) {
 	call := func(a, h float64) Call { return Call{Arrival: a, Holding: h} }
@@ -100,13 +96,14 @@ func TestBuildOrderDeclines(t *testing.T) {
 		{"empty trace", nil, 10},
 		{"clustered epochs", clustered, 1e9},
 	}
+	var scratch []int32
 	for _, tc := range cases {
-		if o := buildOrder(tc.calls, tc.horizon, nil, nil); o != nil {
+		if rk := buildRank(tc.calls, tc.horizon, &scratch); rk.ord != nil {
 			t.Errorf("%s: order accepted", tc.name)
 		}
 	}
 	// Ties after the horizon never depart, so they do not matter.
-	if o := buildOrder([]Call{call(0, 12), call(1, 11), call(2, 1)}, 10, nil, nil); o == nil {
+	if rk := buildRank([]Call{call(0, 12), call(1, 11), call(2, 1)}, 10, &scratch); rk.ord == nil {
 		t.Error("tie after the horizon: order declined")
 	}
 }

@@ -716,7 +716,8 @@ func (l *loop) drainFast(epoch float64) {
 		}
 		// Flush each link of the departed path at the teardown epoch —
 		// flushLink's body with the bounds in registers — then release
-		// (State.Release inlined; the idle-link panic guard is preserved).
+		// (State.Release inlined; the idle-link guard panics through
+		// panicIdleLink, so the error's allocation stays off this function).
 		var links []graph.LinkID
 		if e.ref >= 0 {
 			links = base[e.ref : e.ref+e.n]
@@ -739,7 +740,7 @@ func (l *loop) drainFast(epoch float64) {
 			}
 			lastF[id] = e.at
 			if o <= 0 {
-				panic(fmt.Errorf("sim: releasing idle link %d", id))
+				panicIdleLink(id)
 			}
 			occ[id] = o - 1
 		}

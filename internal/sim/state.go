@@ -167,7 +167,7 @@ func (s *State) Occupy(p paths.Path) {
 func (s *State) Release(p paths.Path) {
 	for _, id := range p.Links {
 		if s.occ[id] <= 0 {
-			panic(fmt.Errorf("sim: releasing idle link %d", id))
+			panicIdleLink(id)
 		}
 		s.occ[id]--
 	}
@@ -223,7 +223,7 @@ func (s *State) OccupyLink(id graph.LinkID) {
 // ReleaseLink frees one call from a single link.
 func (s *State) ReleaseLink(id graph.LinkID) {
 	if s.occ[id] <= 0 {
-		panic(fmt.Errorf("sim: releasing idle link %d", id))
+		panicIdleLink(id)
 	}
 	s.occ[id]--
 }

@@ -8,6 +8,8 @@
 package sim
 
 import (
+	"sync/atomic"
+
 	"repro/internal/graph"
 	"repro/internal/traffic"
 )
@@ -25,12 +27,26 @@ type Call struct {
 }
 
 // Trace is an immutable arrival sequence sorted by arrival time.
+//
+// The first plan-less compiled replay ranks the trace's departures by
+// epoch and caches the ranking on the Trace, so every later replay at the
+// same horizon (every policy of a common-random-numbers comparison) skips
+// the sort. The ranking costs 12 bytes per call departing inside the run
+// and lives as long as the Trace. It is keyed on the Calls slice (its
+// first element and length) and the run horizon: assigning a new slice
+// to Calls, or replaying to another horizon, ranks again. Editing the
+// elements of Calls in place after the first replay is not detected and
+// leaves a stale ranking, so Calls must not change once replayed; copy
+// the slice to edit it. Concurrent replays of one Trace are safe.
 type Trace struct {
 	Calls []Call
 	// Horizon is the generation horizon: arrivals cover [0, Horizon).
 	Horizon float64
 	// Seed is the master seed the trace was derived from.
 	Seed int64
+
+	// ranked is the cached departure ranking (see Trace.ranking).
+	ranked atomic.Pointer[traceRank]
 }
 
 // GenerateTrace draws Poisson arrivals for every O-D pair with rates given
