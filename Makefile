@@ -56,6 +56,7 @@ bench:
 bench-smoke:
 	$(GO) test -run '^$$' -bench BenchmarkRunCalls -benchtime 0.3s -count 3 . | $(GO) run ./cmd/benchguard -baseline BENCH_sim.json -max-regress 0.30
 	$(GO) test -run '^$$' -bench BenchmarkRunShardedCalls -benchtime 0.3s -count 3 . | $(GO) run ./cmd/benchguard -baseline BENCH_shard.json -metric shard-seq -metric shard-multi=0.50
+	$(GO) test -run '^$$' -bench BenchmarkTraceGenerationNSFNet -benchtime 0.3s -count 3 . | $(GO) run ./cmd/benchguard -baseline BENCH_sim.json -metric gentrace
 
 # CPU+heap profile of the hot path via BenchmarkRunCalls (replay = event
 # loop only). Inspect with `go tool pprof cpu.out`. For profiling a real
@@ -82,7 +83,8 @@ altd-smoke:
 	$(GO) test -run 'TestReplayEquivalence|TestServerHTTPWire|TestServerConcurrentSwarmSerializes' ./internal/ctrl/
 
 # Short fuzz pass over the Erlang-B / Equation-15 invariants, the
-# trace-file reader, the failure-plan reader and the scenario reader (CI
+# trace-file reader, the failure-plan reader, materialized trace
+# generation and the scenario reader (CI
 # smoke; the checked-in corpora under internal/{erlang,sim,netio}/testdata/fuzz
 # always run in plain `go test`).
 fuzz-smoke:
@@ -90,6 +92,7 @@ fuzz-smoke:
 	$(GO) test ./internal/erlang/ -run '^$$' -fuzz FuzzProtectionLevel -fuzztime 10s
 	$(GO) test ./internal/sim/ -run '^$$' -fuzz FuzzReadTrace -fuzztime 10s
 	$(GO) test ./internal/sim/ -run '^$$' -fuzz FuzzFailurePlanJSON -fuzztime 10s
+	$(GO) test ./internal/sim/ -run '^$$' -fuzz FuzzGenerateTrace -fuzztime 10s
 	$(GO) test ./internal/netio/ -run '^$$' -fuzz FuzzScenario -fuzztime 10s
 
 # Run every example end to end with reduced horizons (the CI examples

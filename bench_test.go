@@ -200,18 +200,25 @@ func BenchmarkProtectionLevel(b *testing.B) {
 	}
 }
 
+// BenchmarkTraceGenerationNSFNet materializes one NSFNet nominal trace
+// (horizon 110) per iteration; calls/sec is the guarded metric (make
+// bench-smoke, benchguard -metric gentrace).
 func BenchmarkTraceGenerationNSFNet(b *testing.B) {
 	m, err := altroute.NSFNetNominalMatrix()
 	if err != nil {
 		b.Fatal(err)
 	}
+	b.ReportAllocs()
 	b.ResetTimer()
+	calls := 0
 	for i := 0; i < b.N; i++ {
 		tr := altroute.GenerateTrace(m, 110, int64(i))
 		if len(tr.Calls) == 0 {
 			b.Fatal("empty trace")
 		}
+		calls += len(tr.Calls)
 	}
+	b.ReportMetric(float64(calls)/b.Elapsed().Seconds(), "calls/sec")
 }
 
 func BenchmarkRouteTableBuildNSFNet(b *testing.B) {

@@ -33,9 +33,10 @@ import (
 )
 
 // metricDef places one guardable metric: which benchmark and
-// sub-benchmark report it, the go-bench custom unit carrying the value,
-// and the key holding its recorded numbers under "optimized" in the
-// baseline file. All current metrics are throughputs (higher is better).
+// sub-benchmark (none when variant is empty) report it, the go-bench
+// custom unit carrying the value, and the key holding its recorded
+// numbers under "optimized" in the baseline file. All current metrics
+// are throughputs (higher is better).
 type metricDef struct {
 	bench   string
 	variant string
@@ -43,13 +44,24 @@ type metricDef struct {
 	key     string
 }
 
+// name is the benchmark's name as go test prints it, less the
+// GOMAXPROCS suffix.
+func (d metricDef) name() string {
+	if d.variant == "" {
+		return d.bench
+	}
+	return d.bench + "/" + d.variant
+}
+
 // metricDefs is the allowlist of guardable metrics. stream/replay are the
 // classic end-to-end throughput pair (BENCH_sim.json); shard-seq and
 // shard-multi guard the sharded engine on the metro scenario
 // (BENCH_shard.json): shards=1 is the no-overhead contract (the request
 // must dispatch to the sequential engine at sequential speed), shards=4
-// the conservative-PDES loop itself.
+// the conservative-PDES loop itself. gentrace guards materialized trace
+// generation, GenerateTrace on the NSFNet nominal matrix (BENCH_sim.json).
 var metricDefs = map[string]metricDef{
+	"gentrace":    {bench: "BenchmarkTraceGenerationNSFNet", unit: "calls/sec", key: "trace_gen_calls_per_sec"},
 	"stream":      {bench: "BenchmarkRunCalls", variant: "stream", unit: "calls/sec", key: "run_calls_stream_calls_per_sec"},
 	"replay":      {bench: "BenchmarkRunCalls", variant: "replay", unit: "calls/sec", key: "run_calls_replay_calls_per_sec"},
 	"shard-seq":   {bench: "BenchmarkRunShardedCalls", variant: "shards=1", unit: "calls/sec", key: "run_sharded_seq_calls_per_sec"},
@@ -139,24 +151,21 @@ func parseBench(r io.Reader, echo io.Writer, sels []selection) (map[string]float
 		if echo != nil {
 			fmt.Fprintln(echo, line)
 		}
+		fields := strings.Fields(line)
+		if len(fields) == 0 {
+			continue
+		}
+		// The name field carries a "-<GOMAXPROCS>" suffix except on a
+		// single-CPU host.
+		name := fields[0]
+		if i := strings.LastIndex(name, "-"); i >= 0 {
+			if _, err := strconv.Atoi(name[i+1:]); err == nil {
+				name = name[:i]
+			}
+		}
 		for _, s := range sels {
 			def := metricDefs[s.name]
-			rest, ok := strings.CutPrefix(line, def.bench+"/")
-			if !ok {
-				continue
-			}
-			fields := strings.Fields(rest)
-			if len(fields) == 0 {
-				continue
-			}
-			// The name field is "<variant>" on a single-CPU host and
-			// "<variant>-<GOMAXPROCS>" otherwise; no allowed variant ends in
-			// a dash-suffixed token, so trimming at the last dash is safe.
-			variant := fields[0]
-			if i := strings.LastIndex(variant, "-"); i >= 0 {
-				variant = variant[:i]
-			}
-			if variant != def.variant {
+			if name != def.name() {
 				continue
 			}
 			for i := 1; i < len(fields); i++ {
@@ -231,7 +240,7 @@ func check(observed, baseline map[string]float64, sels []selection) ([]string, b
 		base := baseline[s.name]
 		got, seen := observed[s.name]
 		if !seen {
-			lines = append(lines, fmt.Sprintf("benchguard: %s: no %s/%s result in input", s.name, def.bench, def.variant))
+			lines = append(lines, fmt.Sprintf("benchguard: %s: no %s result in input", s.name, def.name()))
 			ok = false
 			continue
 		}

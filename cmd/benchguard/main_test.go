@@ -16,6 +16,9 @@ BenchmarkRunCalls/replay         	       4	 250000000 ns/op	   3400000 calls/sec
 BenchmarkRunShardedCalls/shards=1-8 	       4	 250000000 ns/op	   3100000 calls/sec	   0.950 carried/unit
 BenchmarkRunShardedCalls/shards=4   	       4	 280000000 ns/op	   2900000 calls/sec	   0.950 carried/unit
 BenchmarkEq15Search/quadrangle@90E/cold-8  	     100	  11000000 ns/op	     312 allocs/op
+BenchmarkTraceGenerationNSFNet-2   	     130	   9100000 ns/op	  11900000 calls/sec	 4884142 B/op	     287 allocs/op
+BenchmarkTraceGenerationNSFNet     	     120	   9500000 ns/op	  11400000 calls/sec	 4884142 B/op	     287 allocs/op
+BenchmarkTraceGenerationNSFNetWide-2	     120	   9500000 ns/op	  99000000 calls/sec
 PASS
 `
 
@@ -24,7 +27,8 @@ const sampleBaseline = `{
     "run_calls_stream_calls_per_sec": [2096423, 2105578, 1957352],
     "run_calls_replay_calls_per_sec": [3394775, 3340919, 3382691],
     "run_sharded_seq_calls_per_sec": 3000000,
-    "run_sharded_multi_calls_per_sec": [2800000, 2750000]
+    "run_sharded_multi_calls_per_sec": [2800000, 2750000],
+    "trace_gen_calls_per_sec": [11000000, 11500000]
   }
 }`
 
@@ -67,7 +71,7 @@ func TestMetricFlagParsing(t *testing.T) {
 func TestParseBenchBestPerMetric(t *testing.T) {
 	var echo strings.Builder
 	var m metricFlags
-	for _, v := range []string{"stream", "replay", "shard-seq", "shard-multi"} {
+	for _, v := range []string{"stream", "replay", "shard-seq", "shard-multi", "gentrace"} {
 		if err := m.Set(v); err != nil {
 			t.Fatal(err)
 		}
@@ -79,6 +83,7 @@ func TestParseBenchBestPerMetric(t *testing.T) {
 	want := map[string]float64{
 		"stream": 2100000, "replay": 3400000,
 		"shard-seq": 3100000, "shard-multi": 2900000,
+		"gentrace": 11900000,
 	}
 	for k, v := range want {
 		if got[k] != v {
@@ -92,7 +97,7 @@ func TestParseBenchBestPerMetric(t *testing.T) {
 
 func TestBaselineBest(t *testing.T) {
 	var m metricFlags
-	for _, v := range []string{"stream", "replay", "shard-seq", "shard-multi"} {
+	for _, v := range []string{"stream", "replay", "shard-seq", "shard-multi", "gentrace"} {
 		if err := m.Set(v); err != nil {
 			t.Fatal(err)
 		}
@@ -105,6 +110,7 @@ func TestBaselineBest(t *testing.T) {
 	want := map[string]float64{
 		"stream": 2105578, "replay": 3394775,
 		"shard-seq": 3000000, "shard-multi": 2800000,
+		"gentrace": 11500000,
 	}
 	for k, v := range want {
 		if got[k] != v {

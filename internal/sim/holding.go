@@ -86,9 +86,10 @@ func (h HoldingDist) draw(r *rand.Rand) float64 {
 // across distributions), so comparisons across distributions should use
 // this function for every variant.
 //
-// Like GenerateTrace, this is a drain of the streaming generator
-// (NewStreamHolding); the merge heap's (epoch, origin, dest) total order
-// makes regenerated traces reproducible byte-for-byte, ties included.
+// Like GenerateTrace, this materializes a fresh stream, here
+// NewStreamHolding, and equals a Next drain of it. Calls are ordered by
+// (epoch, origin, dest), a pair's equal epochs in draw order, so
+// regenerated traces are reproducible byte-for-byte, ties included.
 func GenerateTraceHolding(m *traffic.Matrix, horizon float64, seed int64, dist HoldingDist) (*Trace, error) {
 	s, err := NewStreamHolding(m, horizon, seed, dist)
 	if err != nil {

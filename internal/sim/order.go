@@ -245,7 +245,7 @@ func buildRank(calls []Call, horizon float64, scratch *[]int32) *traceRank {
 	// Insertion pass within buckets; last is the largest epoch placed so
 	// far (the one at at[j-1]). A tie surfaces as an epoch equal to the
 	// left neighbour it stops at.
-	budget := 8 * n
+	budget := shiftBudget * n
 	last := math.Inf(-1)
 	for j := 0; j < m; j++ {
 		x := at[j]

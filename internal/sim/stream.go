@@ -1,9 +1,11 @@
 package sim
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 
 	"repro/internal/graph"
 	"repro/internal/traffic"
@@ -78,13 +80,13 @@ func (a mergeKey) less(b mergeKey) bool {
 // Stream merges every O-D pair's Poisson process lazily: it keeps one
 // pending arrival per pair on a min-heap of mergeKeys and draws further
 // variates only as calls are consumed. Memory is O(pairs) instead of the
-// O(calls) of a materialized Trace, while the emitted call sequence —
-// epochs, holding times, IDs, and tie order — is byte-for-byte the sequence
-// GenerateTrace (or GenerateTraceHolding) would produce for the same
-// arguments, because each pair consumes its substream in the same order and
-// the heap breaks equal-epoch ties by the same (origin, dest) order the
-// trace sort uses. The keys form a strict total order (no two pairs share
-// an index), so the heap's emission order does not depend on its layout.
+// O(calls) of a materialized Trace. Next emits calls in (epoch, origin,
+// dest) order, a pair's equal epochs in draw order; the keys form a strict
+// total order (no two pairs share an index), so the emission order does not
+// depend on the heap's layout. Materialize produces the same sequence
+// without the heap, and GenerateTrace (or GenerateTraceHolding) is
+// Materialize on a fresh stream, so a Next drain and the trace for the same
+// arguments agree byte for byte: epochs, holding times, IDs and tie order.
 type Stream struct {
 	pairs   []pairStream
 	heap    []mergeKey
@@ -240,33 +242,66 @@ func (s *Stream) Split(k int, class func(origin, dest graph.NodeID) int) ([]*Str
 	return out, nil
 }
 
-// Materialize drains the stream into a Trace. Draining a fresh stream
-// reproduces the corresponding GenerateTrace/GenerateTraceHolding output
-// exactly; the generators are implemented this way.
+// Materialize drains the rest of the stream into a Trace: exactly the
+// calls Next would still emit, in the same order, with IDs continuing
+// from the calls already emitted. GenerateTrace and GenerateTraceHolding
+// are Materialize on a fresh stream. It does not merge through the heap:
+// it draws each pending pair's remaining calls in one pass, appends them
+// pair-major, and orders them with orderArrivals.
 func (s *Stream) Materialize() *Trace {
 	calls := make([]Call, 0, s.expectedCalls())
-	for {
-		c, ok := s.Next()
-		if !ok {
-			break
-		}
-		calls = append(calls, c)
+	// The heap holds each pending pair's next epoch; pairs off it are
+	// exhausted. Materialize empties the heap, so it may reorder it:
+	// sorted by pair index, its keys list the pending pairs pair-major.
+	slices.SortFunc(s.heap, func(a, b mergeKey) int { return cmp.Compare(a.idx, b.idx) })
+	for _, k := range s.heap {
+		calls = s.pairs[k.idx].drawTo(calls, k.next, s.horizon)
 	}
+	s.heap = s.heap[:0]
+	orderArrivals(calls, s.horizon, s.emitted)
+	s.emitted += len(calls)
 	return &Trace{Calls: calls, Horizon: s.horizon, Seed: s.seed}
 }
+
+// drawTo appends the pair's calls arriving from its pending epoch t up to
+// horizon, drawing per call what Next draws: the holding time, then the
+// increment to the next arrival.
+func (p *pairStream) drawTo(calls []Call, t, horizon float64) []Call {
+	mean := 1 / p.rate
+	for t < horizon {
+		c := Call{Origin: p.origin, Dest: p.dest, Arrival: t}
+		if p.hr != nil {
+			c.Holding = p.dist.draw(p.hr)
+		} else {
+			c.Holding = xrand.Exp(p.ar, 1)
+		}
+		calls = append(calls, c)
+		t += xrand.Exp(p.ar, mean)
+	}
+	return calls
+}
+
+// maxCallsHint caps expectedCalls: a larger trace grows its slice as it
+// is drawn instead of reserving it up front.
+const maxCallsHint = 1 << 24
 
 // expectedCalls sizes Materialize's slice. Each pending pair emits its
 // pending arrival plus a Poisson number more, of mean rate·(horizon −
 // next), so the remaining count is len(heap) plus a Poisson variable of
 // mean and variance μ = Σ rate·(horizon − next). Four standard deviations
-// of headroom make growing the slice — a copy of everything drained so
-// far — rare.
+// of headroom make growing the slice — a copy of everything drawn so far
+// — rare. μ can exceed the int range or be +Inf at absurd rates, so the
+// hint is clamped to maxCallsHint.
 func (s *Stream) expectedCalls() int {
 	mu := 0.0
 	for _, k := range s.heap {
 		mu += s.pairs[k.idx].rate * (s.horizon - k.next)
 	}
-	return len(s.heap) + int(mu+4*math.Sqrt(mu)) + 16
+	hint := mu + 4*math.Sqrt(mu)
+	if !(hint < maxCallsHint) {
+		hint = maxCallsHint
+	}
+	return len(s.heap) + int(hint) + 16
 }
 
 // heapPush adds a key (container/heap's up, hole form).

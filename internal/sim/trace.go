@@ -57,10 +57,11 @@ type Trace struct {
 // trace, and scaling the matrix changes rates without perturbing unrelated
 // pairs' substreams.
 //
-// GenerateTrace materializes the whole arrival sequence; it is implemented
-// as a drain of NewStream, so replaying a trace and consuming the stream
-// directly are bit-identical. Prefer the streaming source (Config.Source)
-// for long horizons where O(calls) memory matters.
+// GenerateTrace materializes the whole arrival sequence with
+// Stream.Materialize on a fresh NewStream, which yields exactly the calls
+// a Next drain of that stream would, so replaying a trace and consuming
+// the stream directly are bit-identical. Prefer the streaming source
+// (Config.Source) for long horizons where O(calls) memory matters.
 func GenerateTrace(m *traffic.Matrix, horizon float64, seed int64) *Trace {
 	s, err := NewStream(m, horizon, seed)
 	if err != nil {
