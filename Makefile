@@ -46,16 +46,15 @@ fmt:
 # BENCH_sim.json and BENCH_par.json for the recorded before/after numbers;
 # update them from this output when the core or the engine changes).
 bench:
-	$(GO) test -run '^$$' -bench 'BenchmarkRunCalls|BenchmarkRunShardedCalls|BenchmarkEq15Search|BenchmarkFixedPoint|BenchmarkBlockingSweep' -benchmem -count 3 .
+	$(GO) test -run '^$$' -bench 'BenchmarkRunCalls|BenchmarkRunMetroCalls|BenchmarkEq15Search|BenchmarkFixedPoint|BenchmarkBlockingSweep' -benchmem -count 3 .
 
 # Fast regression tripwire for CI: short benchmarks checked by
-# cmd/benchguard against the recorded baselines. Fails on a >30% calls/sec
-# drop (50% for shard-multi: scheduler-bound on a single-core host, the
-# noisiest guarded metric — see BENCH_shard.json); short -benchtime keeps
-# it cheap (and noisy, hence the generous thresholds).
+# cmd/benchguard against the recorded baselines in BENCH_sim.json. Fails on
+# a >30% calls/sec drop; short -benchtime keeps it cheap (and noisy, hence
+# the generous threshold).
 bench-smoke:
 	$(GO) test -run '^$$' -bench BenchmarkRunCalls -benchtime 0.3s -count 3 . | $(GO) run ./cmd/benchguard -baseline BENCH_sim.json -max-regress 0.30
-	$(GO) test -run '^$$' -bench BenchmarkRunShardedCalls -benchtime 0.3s -count 3 . | $(GO) run ./cmd/benchguard -baseline BENCH_shard.json -metric shard-seq -metric shard-multi=0.50
+	$(GO) test -run '^$$' -bench BenchmarkRunMetroCalls -benchtime 0.3s -count 3 . | $(GO) run ./cmd/benchguard -baseline BENCH_sim.json -metric metro
 	$(GO) test -run '^$$' -bench BenchmarkTraceGenerationNSFNet -benchtime 0.3s -count 3 . | $(GO) run ./cmd/benchguard -baseline BENCH_sim.json -metric gentrace
 
 # CPU+heap profile of the hot path via BenchmarkRunCalls (replay = event

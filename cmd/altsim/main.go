@@ -44,14 +44,13 @@
 //	bound         Erlang bound values for both paper networks
 //	all           run everything above with the paper's settings
 //
-// Common flags: -seeds, -warmup, -horizon, -loads, -H, -parallel, -shards.
+// Common flags: -seeds, -warmup, -horizon, -loads, -H, -parallel.
 // The -parallel flag caps the worker goroutines of every parallel stage
 // (seed runs, sweep points, fixed-point links); 0 uses GOMAXPROCS, 1 forces
-// sequential execution, and every setting prints identical output. The
-// -shards flag instead parallelizes within each simulation run, splitting
-// its event loop across conservative shards (internal/sim sharded engine);
-// 0 uses GOMAXPROCS, 1 (the default) keeps the sequential engine, and every
-// setting produces bit-identical results and event streams.
+// sequential execution, and every setting prints identical output.
+//
+// Metro flags: -pops N (at least 3) and -popsize N (at least 1) size the
+// synthetic metro topology; other values are a usage error (exit 2).
 //
 // Failure flags: -rates (availability outage-rate grid), -mtbf/-mttr inject
 // seeded random outages into custom runs (availability always injects; its
@@ -72,7 +71,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"runtime"
 	"strconv"
 	"strings"
 	"time"
@@ -103,9 +101,8 @@ func main() {
 	csvPath := fs.String("csv", "", "also write sweep data as CSV to this file (quad/nsfnet/h6/ottkrishnan)")
 	scenario := fs.String("scenario", "", "scenario JSON file (custom)")
 	parallel := fs.Int("parallel", 0, "worker goroutines per parallel stage (0 = GOMAXPROCS, 1 = sequential; results identical)")
-	shards := fs.Int("shards", 1, "conservative event-loop shards per simulation run (0 = GOMAXPROCS, 1 = sequential; results identical)")
-	pops := fs.Int("pops", 25, "points of presence in the metro topology (metro)")
-	popSize := fs.Int("popsize", 4, "nodes per point of presence (metro)")
+	pops := fs.Int("pops", 25, "points of presence in the metro topology (metro; at least 3)")
+	popSize := fs.Int("popsize", 4, "nodes per point of presence (metro; at least 1)")
 	ratesFlag := fs.String("rates", "", "comma-separated per-link outage rates (availability; default grid)")
 	mtbf := fs.Float64("mtbf", 0, "mean time between link failures, holding times (custom; 0 = no random outages)")
 	mttr := fs.Float64("mttr", 0.5, "mean link repair time, holding times (availability/custom)")
@@ -115,11 +112,11 @@ func main() {
 	if err := fs.Parse(os.Args[2:]); err != nil {
 		os.Exit(2)
 	}
-	p := experiments.SimParams{Seeds: *seeds, Warmup: *warmup, Horizon: *horizon, Parallelism: *parallel}
-	if *shards == 0 {
-		*shards = runtime.GOMAXPROCS(0)
+	if cmd == "metro" && (*pops < 3 || *popSize < 1) {
+		fmt.Fprintf(os.Stderr, "altsim metro: need -pops >= 3 and -popsize >= 1, got -pops %d -popsize %d\n", *pops, *popSize)
+		os.Exit(2)
 	}
-	p.Shards = *shards
+	p := experiments.SimParams{Seeds: *seeds, Warmup: *warmup, Horizon: *horizon, Parallelism: *parallel}
 	obsFinish = of.setup(&p)
 	defer obsFinish()
 	loads, err := parseLoads(*loadsFlag)
@@ -408,7 +405,7 @@ experiments: fig2 quad table1 nsfnet h6 failures skew minloss ottkrishnan
              retrials insensitivity capacity availability custom metro
              export-scenario dot verify report bound all
 flags: -seeds N -warmup T -horizon T -loads a,b,c -H n -csv file -parallel N
-       -shards N -pops N -popsize N
+       -pops N -popsize N
        -rates a,b,c -mtbf T -mttr T -failures plan.json -failover drop|reroute
        -events stream.jsonl -metrics out.json -pprof addr -progress 2s
        -window T`)
@@ -467,9 +464,8 @@ func runCustom(path string, h int, fo failureOpts, p experiments.SimParams) {
 
 // runMetro executes the same three-policy comparison on the synthetic
 // metro topology (netmodel.Metro) under its locality-weighted workload:
-// the named large-network scenario, and — with -shards — the natural
-// input for the sharded engine (pop cliques rarely straddle the
-// partition's cuts, so almost all traffic is shard-local).
+// the named large-network scenario. main has already checked pops >= 3
+// and popSize >= 1, the sizes netmodel.Metro accepts.
 func runMetro(pops, popSize, h int, loads []float64, fo failureOpts, p experiments.SimParams) {
 	intra, inter := 6.0, 0.01
 	if len(loads) > 0 {
@@ -546,7 +542,7 @@ func runComparison(name string, g *graph.Graph, m *traffic.Matrix, h int, fo fai
 				Graph: g, Policy: pol, Source: src, Warmup: p.Warmup,
 				Failures: plan, Failover: fo.mode,
 				Sink: p.Sink, OccupancyEvents: p.OccupancyEvents,
-				WindowLength: p.WindowLength, Shards: p.Shards,
+				WindowLength: p.WindowLength,
 			})
 			if err != nil {
 				fatal(err)

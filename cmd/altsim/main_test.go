@@ -1,7 +1,12 @@
 package main
 
 import (
+	"bytes"
+	"errors"
+	"os"
+	"os/exec"
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/experiments"
@@ -50,6 +55,36 @@ func TestVerifyClaims(t *testing.T) {
 	for _, c := range checks {
 		if !c.ok {
 			t.Errorf("%s: %s", c.name, c.detail)
+		}
+	}
+}
+
+// TestMetroRejectsBadSizes runs the altsim main in a child process with
+// metro sizes netmodel.Metro cannot build: each must end in a one-line
+// usage error and exit status 2, not a panic and its goroutine dump.
+func TestMetroRejectsBadSizes(t *testing.T) {
+	if args := os.Getenv("ALTSIM_TEST_ARGS"); args != "" {
+		os.Args = append([]string{"altsim"}, strings.Fields(args)...)
+		main()
+		os.Exit(0)
+	}
+	for _, args := range []string{
+		"metro -pops 2 -popsize 2",
+		"metro -pops 0",
+		"metro -popsize -3",
+	} {
+		cmd := exec.Command(os.Args[0], "-test.run=^TestMetroRejectsBadSizes$")
+		cmd.Env = append(os.Environ(), "ALTSIM_TEST_ARGS="+args)
+		var stderr bytes.Buffer
+		cmd.Stderr = &stderr
+		err := cmd.Run()
+		var exit *exec.ExitError
+		if !errors.As(err, &exit) || exit.ExitCode() != 2 {
+			t.Errorf("%s: exit %v, want status 2", args, err)
+		}
+		msg := stderr.String()
+		if strings.Contains(msg, "goroutine") || strings.Count(msg, "\n") != 1 {
+			t.Errorf("%s: stderr %q, want one usage line and no goroutine dump", args, msg)
 		}
 	}
 }

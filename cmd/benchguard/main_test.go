@@ -13,8 +13,8 @@ BenchmarkRunCalls/stream-8         	       2	 510000000 ns/op	   2000000 calls/s
 BenchmarkRunCalls/stream-8         	       2	 500000000 ns/op	   2100000 calls/sec	   0.950 carried/unit	  903219 B/op	     351 allocs/op
 BenchmarkRunCalls/replay-8         	       4	 260000000 ns/op	   3300000 calls/sec	   0.950 carried/unit	  168936 B/op	      71 allocs/op
 BenchmarkRunCalls/replay         	       4	 250000000 ns/op	   3400000 calls/sec	   0.950 carried/unit	  168936 B/op	      71 allocs/op
-BenchmarkRunShardedCalls/shards=1-8 	       4	 250000000 ns/op	   3100000 calls/sec	   0.950 carried/unit
-BenchmarkRunShardedCalls/shards=4   	       4	 280000000 ns/op	   2900000 calls/sec	   0.950 carried/unit
+BenchmarkRunMetroCalls-8 	       4	 250000000 ns/op	   3100000 calls/sec	   0.950 carried/unit
+BenchmarkRunMetroCalls   	       4	 280000000 ns/op	   2900000 calls/sec	   0.950 carried/unit
 BenchmarkEq15Search/quadrangle@90E/cold-8  	     100	  11000000 ns/op	     312 allocs/op
 BenchmarkTraceGenerationNSFNet-2   	     130	   9100000 ns/op	  11900000 calls/sec	 4884142 B/op	     287 allocs/op
 BenchmarkTraceGenerationNSFNet     	     120	   9500000 ns/op	  11400000 calls/sec	 4884142 B/op	     287 allocs/op
@@ -26,8 +26,7 @@ const sampleBaseline = `{
   "optimized": {
     "run_calls_stream_calls_per_sec": [2096423, 2105578, 1957352],
     "run_calls_replay_calls_per_sec": [3394775, 3340919, 3382691],
-    "run_sharded_seq_calls_per_sec": 3000000,
-    "run_sharded_multi_calls_per_sec": [2800000, 2750000],
+    "run_metro_calls_per_sec": 3000000,
     "trace_gen_calls_per_sec": [11000000, 11500000]
   }
 }`
@@ -40,13 +39,13 @@ func classicPair() []selection {
 
 func TestMetricFlagParsing(t *testing.T) {
 	var m metricFlags
-	for _, v := range []string{"stream", "replay=0.10", "shard-seq=0.05"} {
+	for _, v := range []string{"stream", "replay=0.10", "metro=0.05"} {
 		if err := m.Set(v); err != nil {
 			t.Fatalf("Set(%q): %v", v, err)
 		}
 	}
 	sels := m.resolve(0.30)
-	want := map[string]float64{"replay": 0.10, "shard-seq": 0.05, "stream": 0.30}
+	want := map[string]float64{"replay": 0.10, "metro": 0.05, "stream": 0.30}
 	if len(sels) != len(want) {
 		t.Fatalf("resolve: %v", sels)
 	}
@@ -55,7 +54,7 @@ func TestMetricFlagParsing(t *testing.T) {
 			t.Errorf("sel[%d] = %+v, want regress %v", i, s, want[s.name])
 		}
 	}
-	for _, bad := range []string{"nosuch", "stream", "shard-multi=1.5", "replay=x"} {
+	for _, bad := range []string{"nosuch", "stream", "gentrace=1.5", "replay=x"} {
 		if err := m.Set(bad); err == nil {
 			t.Errorf("Set(%q) accepted", bad)
 		}
@@ -71,7 +70,7 @@ func TestMetricFlagParsing(t *testing.T) {
 func TestParseBenchBestPerMetric(t *testing.T) {
 	var echo strings.Builder
 	var m metricFlags
-	for _, v := range []string{"stream", "replay", "shard-seq", "shard-multi", "gentrace"} {
+	for _, v := range []string{"stream", "replay", "metro", "gentrace"} {
 		if err := m.Set(v); err != nil {
 			t.Fatal(err)
 		}
@@ -81,8 +80,7 @@ func TestParseBenchBestPerMetric(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := map[string]float64{
-		"stream": 2100000, "replay": 3400000,
-		"shard-seq": 3100000, "shard-multi": 2900000,
+		"stream": 2100000, "replay": 3400000, "metro": 3100000,
 		"gentrace": 11900000,
 	}
 	for k, v := range want {
@@ -97,7 +95,7 @@ func TestParseBenchBestPerMetric(t *testing.T) {
 
 func TestBaselineBest(t *testing.T) {
 	var m metricFlags
-	for _, v := range []string{"stream", "replay", "shard-seq", "shard-multi", "gentrace"} {
+	for _, v := range []string{"stream", "replay", "metro", "gentrace"} {
 		if err := m.Set(v); err != nil {
 			t.Fatal(err)
 		}
@@ -108,8 +106,7 @@ func TestBaselineBest(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := map[string]float64{
-		"stream": 2105578, "replay": 3394775,
-		"shard-seq": 3000000, "shard-multi": 2800000,
+		"stream": 2105578, "replay": 3394775, "metro": 3000000,
 		"gentrace": 11500000,
 	}
 	for k, v := range want {
@@ -137,11 +134,11 @@ func TestBaselineBest(t *testing.T) {
 	}
 	// A selected metric missing from the file is an error even when the
 	// classic pair is present.
-	if _, err := baselineBest([]byte(sampleBaseline), []selection{{name: "shard-seq"}, {name: "stream"}}); err != nil {
+	if _, err := baselineBest([]byte(sampleBaseline), []selection{{name: "metro"}, {name: "stream"}}); err != nil {
 		t.Errorf("selected metrics present in file: %v", err)
 	}
 	if _, err := baselineBest([]byte(`{"optimized": {
-		"run_calls_stream_calls_per_sec": 100}}`), []selection{{name: "shard-seq"}}); err == nil {
+		"run_calls_stream_calls_per_sec": 100}}`), []selection{{name: "metro"}}); err == nil {
 		t.Error("missing selected metric should be an error")
 	}
 }
@@ -173,23 +170,23 @@ func TestCheckThreshold(t *testing.T) {
 // TestCheckPerMetricFloors: the same observation passes or fails
 // depending on each metric's own budget.
 func TestCheckPerMetricFloors(t *testing.T) {
-	baseline := map[string]float64{"shard-seq": 1000000, "shard-multi": 1000000}
-	observed := map[string]float64{"shard-seq": 900000, "shard-multi": 900000}
+	baseline := map[string]float64{"gentrace": 1000000, "metro": 1000000}
+	observed := map[string]float64{"gentrace": 900000, "metro": 900000}
 	lines, ok := check(observed, baseline, []selection{
-		{name: "shard-multi", regress: 0.30},
-		{name: "shard-seq", regress: 0.30},
+		{name: "gentrace", regress: 0.30},
+		{name: "metro", regress: 0.30},
 	})
 	if !ok {
 		t.Fatalf("10%% drop under a 30%% budget should pass: %v", lines)
 	}
 	lines, ok = check(observed, baseline, []selection{
-		{name: "shard-multi", regress: 0.30},
-		{name: "shard-seq", regress: 0.05},
+		{name: "gentrace", regress: 0.30},
+		{name: "metro", regress: 0.05},
 	})
 	if ok {
 		t.Fatalf("10%% drop under a 5%% budget should fail: %v", lines)
 	}
 	if len(lines) != 2 || !strings.Contains(lines[1], "FAIL") || strings.Contains(lines[0], "FAIL") {
-		t.Fatalf("expected only shard-seq to fail: %v", lines)
+		t.Fatalf("expected only metro to fail: %v", lines)
 	}
 }

@@ -156,111 +156,6 @@ func (l *loop) nextEpochs() (dep, plan float64) {
 	return dep, plan
 }
 
-// admitOne performs one arrival's compiled admission — primary selection
-// (including the bifurcated weighted draw), alternate scan, booking with
-// the per-link lazy flush, and loss attribution — exactly as the inline
-// body of runCompiled does, against the loop's own slices. The sharded
-// engine's per-shard loops and barrier coordinator call it per call;
-// runCompiled keeps its fused copy so the sequential hot path is not
-// perturbed. Every floating-point operation, comparison, and counter
-// update happens in the same per-link order as the inline form, so the
-// two are bit-identical.
-//
-//altlint:hotpath
-func (l *loop) admitOne(fe *fastEngine, c Call, pairIdx int, measured bool, win *WindowStats) {
-	occ := l.occ
-	util := l.util[:len(occ)]
-	last := l.last[:len(occ)]
-	warm := l.cfg.Warmup
-
-	f := fe.comp
-	var start, alt0, end int32
-	inRange := uint(int(c.Origin)) < uint(f.NumNodes) && uint(int(c.Dest)) < uint(f.NumNodes)
-	if inRange {
-		p := int(c.Origin)*f.NumNodes + int(c.Dest)
-		start, end = f.PairOff[p], f.PairOff[p+1]
-		alt0 = f.AltStart[p]
-	}
-	if !inRange || alt0 == start {
-		l.admittedRow(c, 0, slotEmpty, 0, 0, false, measured)
-		return
-	}
-
-	pr := start
-	if alt0-start > 1 {
-		u := xrand.Uniform01(f.SelectorSeed, int64(c.ID))
-		pr = alt0 - 1
-		for r := start; r < alt0; r++ {
-			if u < f.PrimCum[r] {
-				pr = r
-				break
-			}
-		}
-	}
-	t0 := fe.thresh[0]
-	primOff := f.RowOff[pr]
-	prim := f.Links[primOff:f.RowOff[pr+1]]
-	blockIdx := -1
-	for i, id := range prim {
-		if occ[id] > t0[id] {
-			blockIdx = i
-			break
-		}
-	}
-	if blockIdx < 0 {
-		for _, id := range prim {
-			lo := last[id]
-			if lo < warm {
-				lo = warm
-			}
-			if o := occ[id]; c.Arrival > lo && o != 0 {
-				util[id] += (c.Arrival - lo) * float64(o)
-			}
-			last[id] = c.Arrival
-			occ[id]++
-		}
-		l.admittedRow(c, 0, pr, primOff, int32(len(prim)), false, measured)
-		return
-	}
-	if !f.NoAlternates {
-		for r := alt0; r < end; r++ {
-			ts := fe.thresh[fe.defAlt]
-			if fe.altSets != nil {
-				ts = fe.thresh[fe.altSets[r]]
-			}
-			altOff := f.RowOff[r]
-			alt := f.Links[altOff:f.RowOff[r+1]]
-			good := true
-			for _, id := range alt {
-				if occ[id] > ts[id] {
-					good = false
-					break
-				}
-			}
-			if good {
-				for _, id := range alt {
-					lo := last[id]
-					if lo < warm {
-						lo = warm
-					}
-					if o := occ[id]; c.Arrival > lo && o != 0 {
-						util[id] += (c.Arrival - lo) * float64(o)
-					}
-					last[id] = c.Arrival
-					occ[id]++
-				}
-				l.admittedRow(c, 0, r, altOff, int32(len(alt)), true, measured)
-				return
-			}
-		}
-	}
-	blockAt := graph.InvalidLink
-	if measured {
-		blockAt = prim[blockIdx]
-	}
-	l.blocked(c, pairIdx, measured, win, blockAt)
-}
-
 // runCompiled is the fast engine: arrivals are consumed in micro-batches
 // and admitted by scanning the policy's flattened route rows against the
 // packed thresholds. Every decision — primary selection (including the

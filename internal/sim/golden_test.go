@@ -667,6 +667,26 @@ func TestGoldenOccupancyEvents(t *testing.T) {
 	}
 }
 
+// TestGoldenWindowsPresent asserts a windowed, instrumented run emits
+// WindowClosed events: the golden comparisons check the stream against a
+// reference, and an empty window stream would pass them vacuously if both
+// sides broke the same way.
+func TestGoldenWindowsPresent(t *testing.T) {
+	sc := goldenScenarios(t)[1]
+	pol := goldenPolicies(t, sc)["controlled"]
+	sink := &recordSink{}
+	_, err := sim.Run(sim.Config{
+		Graph: sc.g, Policy: pol, Trace: sim.GenerateTrace(sc.m, sc.horizon, 1),
+		Warmup: sc.warmup, WindowLength: 1.0, Sink: sink,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := countKind(sink.events, obs.KindWindowClosed); n == 0 {
+		t.Fatal("windowed run emitted no WindowClosed events")
+	}
+}
+
 // TestGoldenAggregateFoldback folds the optimized engine's event stream back
 // through obs.Aggregate and checks the totals reproduce the Result's
 // counters exactly — the stream remains a faithful dual of the bookkeeping.

@@ -29,8 +29,8 @@ func runPairOrdered(t *testing.T, label string, cfg sim.Config, want bool) {
 
 // TestDepartureOrderSelection pins down which runs take the precomputed
 // order: compiled trace replays without a failure plan do; stream
-// sources and failure-plan runs keep the heap; the interpreted and
-// sharded engines never consult it.
+// sources and failure-plan runs keep the heap; the interpreted engine
+// never consults it.
 func TestDepartureOrderSelection(t *testing.T) {
 	sc := goldenScenarios(t)[1] // ring6
 	pol := compiledGoldenPolicies(t, sc)["controlled"]
@@ -47,9 +47,8 @@ func TestDepartureOrderSelection(t *testing.T) {
 	configs := map[string]sim.Config{
 		"stream":      {Graph: sc.g, Policy: pol, Source: src, Warmup: sc.warmup},
 		"interpreted": {Graph: sc.g, Policy: uncompilable{pol}, Trace: tr, Warmup: sc.warmup},
-		"sharded":     {Graph: sc.g, Policy: pol, Trace: tr, Warmup: sc.warmup, Shards: 2},
 	}
-	for _, name := range []string{"stream", "interpreted", "sharded"} {
+	for _, name := range []string{"stream", "interpreted"} {
 		seen = nil
 		if _, err := sim.Run(configs[name]); err != nil {
 			t.Fatalf("%s: %v", name, err)

@@ -70,9 +70,8 @@ type mergeKey struct {
 }
 
 // less is the merge order: epoch first, then pair index. Pair indices
-// follow (origin, dest) order — newStream appends pairs in that order and
-// Split preserves parent order — so this is the (epoch, origin, dest)
-// order the trace sort uses.
+// follow (origin, dest) order — newStream appends pairs in that order — so
+// this is the (epoch, origin, dest) order the trace sort uses.
 func (a mergeKey) less(b mergeKey) bool {
 	return a.next < b.next || (!(b.next < a.next) && a.idx < b.idx)
 }
@@ -189,58 +188,6 @@ func (s *Stream) Horizon() float64 { return s.horizon }
 
 // Seed implements ArrivalSource.
 func (s *Stream) Seed() int64 { return s.seed }
-
-// Peek returns the epoch and pair of the next call Next would emit,
-// without consuming it.
-func (s *Stream) Peek() (at float64, origin, dest graph.NodeID, ok bool) {
-	if len(s.heap) == 0 {
-		return 0, 0, 0, false
-	}
-	top := s.heap[0]
-	p := &s.pairs[top.idx]
-	return top.next, p.origin, p.dest, true
-}
-
-// Split partitions a fresh stream's O-D pairs into k substreams by the
-// given classifier (which must return a bucket in [0, k) for every pair
-// the stream carries). Each pair moves — with its pending arrival and its
-// private rand substreams — into exactly one bucket, so every substream
-// emits precisely the calls of its pairs with the same epochs, holding
-// times, and relative order the parent would have emitted them in; only
-// the call IDs differ (each substream numbers its own calls from zero).
-// The sharded engine uses this for arrival generation without cross-shard
-// coordination: per-pair substreams are independent by construction.
-//
-// The parent stream must not have emitted any call yet and must not be
-// used again after the split.
-func (s *Stream) Split(k int, class func(origin, dest graph.NodeID) int) ([]*Stream, error) {
-	if s.emitted != 0 {
-		return nil, fmt.Errorf("sim: cannot split a stream after %d calls were emitted", s.emitted)
-	}
-	out := make([]*Stream, k)
-	for b := range out {
-		out[b] = &Stream{horizon: s.horizon, seed: s.seed}
-	}
-	// Pairs move in parent index order, so each substream's pairs stay in
-	// (origin, dest) order and its (epoch, index) heap order still breaks
-	// ties the way the trace sort does.
-	next := make([]float64, len(s.pairs))
-	for _, key := range s.heap {
-		next[key.idx] = key.next
-	}
-	for i := range s.pairs {
-		p := &s.pairs[i]
-		b := class(p.origin, p.dest)
-		if b < 0 || b >= k {
-			return nil, fmt.Errorf("sim: split class %d for pair %d→%d outside [0,%d)", b, p.origin, p.dest, k)
-		}
-		t := out[b]
-		t.pairs = append(t.pairs, *p)
-		t.heapPush(mergeKey{next: next[i], idx: int32(len(t.pairs) - 1)})
-	}
-	s.pairs, s.heap = nil, nil
-	return out, nil
-}
 
 // Materialize drains the rest of the stream into a Trace: exactly the
 // calls Next would still emit, in the same order, with IDs continuing
