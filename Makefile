@@ -83,9 +83,10 @@ altd-smoke:
 
 # Short fuzz pass over the Erlang-B / Equation-15 invariants, the
 # trace-file reader, the failure-plan reader, materialized trace
-# generation and the scenario reader (CI
-# smoke; the checked-in corpora under internal/{erlang,sim,netio}/testdata/fuzz
-# always run in plain `go test`).
+# generation, the scenario reader and the altd engine's compiled vs
+# interpreted admissions under link failures (CI smoke; the checked-in
+# corpora under internal/{erlang,sim,netio,ctrl}/testdata/fuzz always run
+# in plain `go test`).
 fuzz-smoke:
 	$(GO) test ./internal/erlang/ -run '^$$' -fuzz FuzzErlangB -fuzztime 10s
 	$(GO) test ./internal/erlang/ -run '^$$' -fuzz FuzzProtectionLevel -fuzztime 10s
@@ -93,6 +94,7 @@ fuzz-smoke:
 	$(GO) test ./internal/sim/ -run '^$$' -fuzz FuzzFailurePlanJSON -fuzztime 10s
 	$(GO) test ./internal/sim/ -run '^$$' -fuzz FuzzGenerateTrace -fuzztime 10s
 	$(GO) test ./internal/netio/ -run '^$$' -fuzz FuzzScenario -fuzztime 10s
+	$(GO) test ./internal/ctrl/ -run '^$$' -fuzz FuzzEngineOps -fuzztime 10s
 
 # Run every example end to end with reduced horizons (the CI examples
 # smoke job). Output goes to /dev/null; a non-zero exit is the signal.

@@ -15,12 +15,13 @@ import (
 
 // Hotpath machine-checks the zero-allocation contract of the simulator's
 // hot path: functions annotated `//altlint:hotpath` (sim.Run, runCompiled,
-// the departure heap, obs.Emit, the timeseries fold) are compiled with the
-// gc escape analysis enabled (`go build -gcflags=-m=2`) and every heap
-// escape or closure allocation attributed inside an annotated function is
-// diffed against the checked-in lint_baseline.json. A new escape is a
-// finding at its source position; a sanctioned one is a one-line baseline
-// diff (`BASELINE_UPDATE=1 make lint`), not prose in a review thread.
+// Admission.Decide, the departure heap, obs.Emit, the timeseries fold) are
+// compiled with the gc escape analysis enabled (`go build -gcflags=-m=2`)
+// and every heap escape or closure allocation attributed inside an
+// annotated function is diffed against the checked-in lint_baseline.json.
+// A new escape is a finding at its source position; a sanctioned one is a
+// one-line baseline diff (`BASELINE_UPDATE=1 make lint`), not prose in a
+// review thread.
 //
 // The rule checks allocation *sites*, not allocation *rates*: an escape
 // the compiler proves reachable once per run (setup in sim.Run) and one

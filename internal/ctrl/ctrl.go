@@ -1,9 +1,9 @@
 // Package ctrl is the live routing control plane: the paper's controlled
 // alternate-routing scheme serving real admission decisions instead of
 // simulated ones. An Engine applies admit/release requests against a live
-// sim.State through the compiled route tables (the same thresholds and
-// branch-poor row scan as the simulator's fast path, so replayed request
-// traces decide bit-identically to an offline sim.Run); a Server
+// sim.State through sim.Admission, the compiled admission kernel the
+// simulator's fast path decides with (so replayed request traces decide
+// bit-identically to an offline sim.Run); a Server
 // serializes concurrent clients onto one decision loop with micro-batched
 // draining, feeds observed set-ups into the EWMA Λ̂ estimator, re-derives
 // protection levels at estimate epochs (core.AdaptiveScheme generalized

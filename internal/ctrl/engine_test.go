@@ -4,10 +4,14 @@ import (
 	"errors"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/estimate"
 	"repro/internal/graph"
 	"repro/internal/netmodel"
+	"repro/internal/optimize"
 	"repro/internal/policy"
+	"repro/internal/sim"
+	"repro/internal/traffic"
 )
 
 // quadranglePolicy builds a Controlled policy over the quadrangle with
@@ -27,6 +31,63 @@ func quadranglePolicy(t *testing.T, g *graph.Graph, load float64) policy.Control
 		t.Fatal(err)
 	}
 	return p
+}
+
+// quadrangleTiered builds a ControlledTiered policy over the quadrangle
+// with uniform per-link loads: two-hop alternates use the short-class
+// threshold set, longer ones the long-class set.
+func quadrangleTiered(t *testing.T, g *graph.Graph, load float64) policy.ControlledTiered {
+	t.Helper()
+	tbl, err := policy.BuildMinHop(g, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	loads := make([]float64, g.NumLinks())
+	for i := range loads {
+		loads[i] = load
+	}
+	p, err := policy.NewControlledTiered(tbl, loads, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return p
+}
+
+// nsfnetNominal returns the paper's nominal NSFNet traffic matrix.
+func nsfnetNominal(t *testing.T) *traffic.Matrix {
+	t.Helper()
+	m, _, err := traffic.NSFNetNominal()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return m
+}
+
+// minLossUncontrolled derives uncontrolled alternate routing (H = 11)
+// over bifurcated min-loss primaries for the matrix, and fails unless some
+// pair really has several primaries.
+func minLossUncontrolled(t *testing.T, g *graph.Graph, m *traffic.Matrix) sim.TableCompiler {
+	t.Helper()
+	opt, err := optimize.MinLossPrimaries(g, m, optimize.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tbl, err := policy.BuildBifurcated(g, opt.Primaries, 11, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	scheme, err := core.NewWithTable(g, m, tbl, core.Options{H: 11})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tc, ok := scheme.Uncontrolled().(sim.TableCompiler)
+	if !ok {
+		t.Fatal("uncontrolled policy is not a sim.TableCompiler")
+	}
+	if comp, ok := tc.CompileRoutes(); !ok || comp.PrimCum == nil {
+		t.Fatal("min-loss table has no bifurcated pair; the PrimCum draw goes untested")
+	}
+	return tc
 }
 
 func TestEngineAdmitReleaseLifecycle(t *testing.T) {
@@ -73,6 +134,16 @@ func TestEngineAdmitReleaseLifecycle(t *testing.T) {
 	if m.Offered != 1 || m.Admitted != 1 || m.Released != 1 ||
 		m.DuplicateAdmits != 1 || m.UnknownReleases != 1 || m.InFlight != 0 {
 		t.Errorf("metrics %+v", m)
+	}
+}
+
+// TestEngineRejectsForeignState: the thresholds are built from the
+// state's own link records, so a state of another topology is refused at
+// construction instead of deciding against the wrong capacities.
+func TestEngineRejectsForeignState(t *testing.T) {
+	g := netmodel.Quadrangle()
+	if _, err := NewEngine(g, sim.NewState(netmodel.Quadrangle()), quadranglePolicy(t, g, 85), nil); err == nil {
+		t.Fatal("engine accepted a state of another graph")
 	}
 }
 

@@ -36,15 +36,47 @@ func (d *decisionLog) Event(e obs.Event) {
 // equivalent arrival trace. The request trace is derived from the trace
 // itself — one admit per arrival, one release at each admitted call's
 // departure epoch, releases ordered before admits at equal timestamps
-// exactly as the simulator drains departures before arrivals.
+// exactly as the simulator drains departures before arrivals. The cases
+// cover the min-hop controlled rule, tiered threshold sets (per-row
+// AltSet) and bifurcated primaries (the call-id-keyed PrimCum draw).
 func TestReplayEquivalence(t *testing.T) {
-	g := netmodel.Quadrangle()
-	pol := quadranglePolicy(t, g, 85)
+	quad := netmodel.Quadrangle()
+	nsf := netmodel.NSFNet()
+	nsfLoad := nsfnetNominal(t).Scaled(1.3)
+	cases := []struct {
+		name string
+		g    *graph.Graph
+		pol  sim.TableCompiler
+		tr   *sim.Trace
+	}{
+		{
+			name: "quadrangle/controlled", g: quad, pol: quadranglePolicy(t, quad, 85),
+			tr: sim.GenerateTrace(traffic.Uniform(4, 85), 12, 42),
+		},
+		{
+			name: "quadrangle/tiered", g: quad, pol: quadrangleTiered(t, quad, 88),
+			tr: sim.GenerateTrace(traffic.Uniform(4, 88), 12, 42),
+		},
+		{
+			name: "nsfnet-x1.3/minloss-uncontrolled", g: nsf,
+			pol: minLossUncontrolled(t, nsf, nsfLoad),
+			tr:  sim.GenerateTrace(nsfLoad, 12, 42),
+		},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			replayEquivalence(t, tc.g, tc.pol, tc.tr)
+		})
+	}
+}
+
+// replayEquivalence replays one arrival trace through the control plane
+// and checks every decision against sim.Run's.
+func replayEquivalence(t *testing.T, g *graph.Graph, pol sim.TableCompiler, tr *sim.Trace) {
+	t.Helper()
 	if !sim.CompilesFor(pol, g) {
 		t.Fatal("policy must exercise the compiled engine for this equivalence to be meaningful")
 	}
-	const horizon = 12.0
-	tr := sim.GenerateTrace(traffic.Uniform(4, 85), horizon, 42)
 
 	// Offline ground truth: the simulator's per-call decisions.
 	want := &decisionLog{admitted: make(map[int]obs.Event), blocked: make(map[int]obs.Event)}
@@ -67,7 +99,7 @@ func TestReplayEquivalence(t *testing.T) {
 	}
 	var reqs []req
 	for _, c := range tr.Calls {
-		if c.Arrival >= horizon {
+		if c.Arrival >= tr.Horizon {
 			break
 		}
 		reqs = append(reqs, req{at: c.Arrival, id: int64(c.ID), o: c.Origin, d: c.Dest})

@@ -25,22 +25,20 @@ type TableCompiler interface {
 	CompileRoutes() (*routetable.Compiled, bool)
 }
 
-// compileFor resolves the compiled fast path for a policy: the policy must
-// implement TableCompiler, compile successfully, and its table must be
-// indexed by exactly the run topology's node and link spaces.
-func compileFor(p Policy, g *graph.Graph) (*routetable.Compiled, TableCompiler, bool) {
+// compiledTable resolves a policy's compiled table for a topology: the
+// policy must implement TableCompiler, compile successfully, and its table
+// must be indexed by exactly the topology's node and link spaces.
+func compiledTable(p Policy, g *graph.Graph) (*routetable.Compiled, bool) {
 	tc, ok := p.(TableCompiler)
 	if !ok {
-		return nil, nil, false
+		return nil, false
 	}
 	comp, ok := tc.CompileRoutes()
-	if !ok || comp == nil || comp.Flat == nil {
-		return nil, nil, false
+	if !ok || comp == nil || comp.Flat == nil ||
+		comp.NumNodes != g.NumNodes() || comp.NumLinks != g.NumLinks() {
+		return nil, false
 	}
-	if comp.NumNodes != g.NumNodes() || comp.NumLinks != g.NumLinks() {
-		return nil, nil, false
-	}
-	return comp, tc, true
+	return comp, true
 }
 
 // CompilesFor reports whether Run would execute the policy on the compiled
@@ -48,15 +46,26 @@ func compileFor(p Policy, g *graph.Graph) (*routetable.Compiled, TableCompiler, 
 // which engine a configuration exercises; Run itself applies the same
 // check and falls back transparently.
 func CompilesFor(p Policy, g *graph.Graph) bool {
-	_, _, ok := compileFor(p, g)
+	_, ok := compiledTable(p, g)
 	return ok
 }
 
-// fastEngine is a Compiled table bound to one run's state: per threshold
-// set and link, the maximum occupancy at which the link still admits.
-// Admission over a row is then a branch-poor scan — one load and compare
-// per hop, the clamp of r and the down/bounds checks all folded into the
-// threshold at (re)build time:
+// Rows Admission.Decide reports for calls that book no route-table row.
+const (
+	// RowBlocked is the admitted row of a lost call.
+	RowBlocked int32 = -1
+	// RowEmpty is both rows of a pair with no primaries: the source table
+	// yields the empty path, which every state admits as a zero-hop
+	// primary that books nothing.
+	RowEmpty int32 = -2
+)
+
+// Admission is the compiled admission decision, shared by Run's compiled
+// engine and the ctrl daemon's Engine: a Compiled table bound to a state
+// through per-threshold-set, per-link maximum occupancies at which the link
+// still admits. Admission over a row is then a branch-poor scan — one load
+// and compare per hop, the clamp of r and the down/bounds checks all
+// folded into the threshold at Compile time:
 //
 //	thresh[s][k] = −1                     if link k is down
 //	             = C^k − clamp(r^k_s) − 1 otherwise
@@ -64,7 +73,8 @@ func CompilesFor(p Policy, g *graph.Graph) bool {
 // A down link's −1 refuses every call (occupancy is never negative),
 // matching State.Free; the clamp of r^k into [0, C^k] mirrors
 // State.AdmitsAlternate, and set 0 always carries r = 0 (primaries).
-type fastEngine struct {
+// The zero value is unbound; Decide needs a successful Compile first.
+type Admission struct {
 	comp *routetable.Compiled
 	// thresh[s] is threshold set s, indexed by LinkID; back is its single
 	// backing array, reused across rebuilds.
@@ -73,33 +83,35 @@ type fastEngine struct {
 	// altSets is comp.AltSet; defAlt the default alternate set when nil.
 	altSets []uint8
 	defAlt  int
-	// ok gates the compiled scan. It drops to false only if a mid-run
-	// recompile fails (a TopologyHook swapped in an incompilable or
-	// mismatched table), after which arrivals route through Policy.Route —
-	// same decisions, interpreted speed.
-	ok bool
 }
 
-// reset (re)binds the engine to a compiled table and rebuilds every
-// threshold set from the state's current capacities and down flags.
-func (fe *fastEngine) reset(st *State, comp *routetable.Compiled) {
-	fe.comp = comp
+// Compile (re)binds the kernel to the policy's current compiled table and
+// rebuilds every threshold set from st's capacities and down flags; call
+// it again whenever either changes. It reports false, leaving the kernel
+// as it was, when the policy is not a TableCompiler, its table does not
+// compile, or the table's node and link spaces differ from st's topology.
+func (a *Admission) Compile(st *State, p Policy) bool {
+	comp, ok := compiledTable(p, st.g)
+	if !ok {
+		return false
+	}
+	a.comp = comp
 	sets := len(comp.Prot)
 	if sets == 0 {
 		sets = 1
 	}
 	nl := comp.NumLinks
-	if cap(fe.back) < sets*nl {
-		fe.back = make([]int, sets*nl)
+	if cap(a.back) < sets*nl {
+		a.back = make([]int, sets*nl)
 	}
-	fe.back = fe.back[:sets*nl]
-	if cap(fe.thresh) < sets {
-		fe.thresh = make([][]int, sets)
+	a.back = a.back[:sets*nl]
+	if cap(a.thresh) < sets {
+		a.thresh = make([][]int, sets)
 	}
-	fe.thresh = fe.thresh[:sets]
+	a.thresh = a.thresh[:sets]
 	for s := 0; s < sets; s++ {
-		ts := fe.back[s*nl : (s+1)*nl : (s+1)*nl]
-		fe.thresh[s] = ts
+		ts := a.back[s*nl : (s+1)*nl : (s+1)*nl]
+		a.thresh[s] = ts
 		var prot []int
 		if s > 0 && s < len(comp.Prot) {
 			// Set 0 is the primary rule: never protected, whatever Prot[0]
@@ -125,12 +137,85 @@ func (fe *fastEngine) reset(st *State, comp *routetable.Compiled) {
 			ts[id] = c - r - 1
 		}
 	}
-	fe.altSets = comp.AltSet
-	fe.defAlt = 0
+	a.altSets = comp.AltSet
+	a.defAlt = 0
 	if sets > 1 {
-		fe.defAlt = 1
+		a.defAlt = 1
 	}
-	fe.ok = true
+	return true
+}
+
+// Table returns the compiled table of the last successful Compile.
+func (a *Admission) Table() *routetable.Compiled { return a.comp }
+
+// Row returns the link ids of row r of the bound table.
+func (a *Admission) Row(r int32) []graph.LinkID { return a.comp.Row(r) }
+
+// Decide makes one admission decision against st's occupancy, bit-identical
+// to the policy's Route: primary selection (including the bifurcated
+// weighted draw keyed on callID), first-blocking-hop attribution and the
+// alternate scan in table order under each row's threshold set. It books
+// nothing; the caller occupies the admitted row or records the loss.
+//
+// prim is the primary row the call tried, and blockIdx the index of its
+// first blocking hop within that row (−1 when the primary admits). row is
+// the admitted row: prim, an alternate when blockIdx ≥ 0, or RowBlocked.
+// A pair with no primaries returns RowEmpty for both rows and blockIdx −1.
+//
+//altlint:hotpath
+func (a *Admission) Decide(st *State, origin, dest graph.NodeID, callID int64) (prim, row int32, blockIdx int) {
+	f := a.comp.Flat
+	var start, alt0, end int32
+	if uint(origin) < uint(f.NumNodes) && uint(dest) < uint(f.NumNodes) {
+		p := int(origin)*f.NumNodes + int(dest)
+		start, end = f.PairOff[p], f.PairOff[p+1]
+		alt0 = f.AltStart[p]
+	}
+	if alt0 == start {
+		return RowEmpty, RowEmpty, -1
+	}
+	// Primary selection: single primaries resolve directly; bifurcated
+	// pairs reproduce Table.SelectPrimary's weighted draw against the
+	// precomputed cumulative sums.
+	prim = start
+	if alt0-start > 1 {
+		u := xrand.Uniform01(f.SelectorSeed, callID)
+		prim = alt0 - 1
+		for r := start; r < alt0; r++ {
+			if u < f.PrimCum[r] {
+				prim = r
+				break
+			}
+		}
+	}
+	occ := st.occ
+	blockIdx = firstOver(occ, a.thresh[0], f.Links[f.RowOff[prim]:f.RowOff[prim+1]])
+	if blockIdx < 0 {
+		return prim, prim, -1
+	}
+	if !a.comp.NoAlternates {
+		for r := alt0; r < end; r++ {
+			ts := a.thresh[a.defAlt]
+			if a.altSets != nil {
+				ts = a.thresh[a.altSets[r]]
+			}
+			if firstOver(occ, ts, f.Links[f.RowOff[r]:f.RowOff[r+1]]) < 0 {
+				return prim, r, blockIdx
+			}
+		}
+	}
+	return prim, RowBlocked, blockIdx
+}
+
+// firstOver returns the index of the first link whose occupancy exceeds
+// its threshold, or −1 when every link admits.
+func firstOver(occ, thresh []int, links []graph.LinkID) int {
+	for i, id := range links {
+		if occ[id] > thresh[id] {
+			return i
+		}
+	}
+	return -1
 }
 
 // arrivalBatch is the micro-batch span: how many consecutive arrivals the
@@ -157,16 +242,15 @@ func (l *loop) nextEpochs() (dep, plan float64) {
 }
 
 // runCompiled is the fast engine: arrivals are consumed in micro-batches
-// and admitted by scanning the policy's flattened route rows against the
-// packed thresholds. Every decision — primary selection (including the
-// bifurcated weighted draw), alternate order, first-blocking-link loss
-// attribution, tie-breaks against departures and plan events — reproduces
-// the interpreted engine bit for bit.
+// and decided by the Admission kernel, bound by Run to the run's state.
+// Every decision — primary selection (including the bifurcated weighted
+// draw), alternate order, first-blocking-link loss attribution, tie-breaks
+// against departures and plan events — reproduces the interpreted engine
+// bit for bit.
 //
 //altlint:hotpath
-func (l *loop) runCompiled(comp *routetable.Compiled) {
-	var fe fastEngine
-	fe.reset(l.st, comp)
+func (l *loop) runCompiled(adm *Admission) {
+	comp := adm.Table()
 	l.deps.base = comp.Links
 	if l.cfg.Trace != nil && len(l.plan) == 0 {
 		// Without plan events the table never changes mid-run, so slots
@@ -176,6 +260,11 @@ func (l *loop) runCompiled(comp *routetable.Compiled) {
 	if orderHook != nil {
 		orderHook(l.ord != nil)
 	}
+	// compiled gates the kernel. It drops to false only if a mid-run
+	// recompile fails (a TopologyHook swapped in an incompilable or
+	// mismatched table), after which arrivals route through Policy.Route —
+	// same decisions, interpreted speed.
+	compiled := true
 	occ := l.st.occ
 	util := l.util[:len(occ)]
 	last := l.last[:len(occ)]
@@ -236,11 +325,9 @@ func (l *loop) runCompiled(comp *routetable.Compiled) {
 					// A plan group ran: link states changed and a
 					// TopologyHook may have swapped tables. Recompile
 					// against the degraded topology.
-					if nc, _, ok := compileFor(l.cfg.Policy, l.cfg.Graph); ok {
-						fe.reset(l.st, nc)
-						l.deps.base = nc.Links
-					} else {
-						fe.ok = false
+					if compiled = adm.Compile(l.st, l.cfg.Policy); compiled {
+						comp = adm.Table()
+						l.deps.base = comp.Links
 					}
 				}
 				nextDep, nextPlan = l.nextEpochs()
@@ -248,79 +335,38 @@ func (l *loop) runCompiled(comp *routetable.Compiled) {
 			pairIdx := int(c.Origin)*l.numNodes + int(c.Dest)
 			measured, win := l.offered(c, pairIdx)
 
-			if !fe.ok {
+			if !compiled {
 				// Mid-run recompile failed; identical decisions via Route.
-				if p, alternate, ok := l.cfg.Policy.Route(l.st, c); ok {
-					l.flushPath(p, c.Arrival)
-					l.st.Occupy(p)
-					l.admitted(c, p, alternate, measured)
+				if l.route(c, pairIdx, measured, win) {
 					if dep := c.Arrival + c.Holding; dep < nextDep {
 						nextDep = dep
 					}
-					continue
 				}
+				continue
+			}
+
+			prim, row, blockIdx := adm.Decide(l.st, c.Origin, c.Dest, int64(c.ID))
+			if row == RowBlocked {
 				blockAt := graph.InvalidLink
 				if measured {
-					primary := l.cfg.Policy.PrimaryPath(l.st, c)
-					if admitted, blockLink := l.st.PathAdmitsPrimary(primary); !admitted && blockLink != graph.InvalidLink {
-						blockAt = blockLink
-					}
+					// Loss attribution: the primary scan already found the
+					// first blocking link, and no state changed since.
+					blockAt = comp.Links[comp.RowOff[prim]+int32(blockIdx)]
 				}
 				l.blocked(c, pairIdx, measured, win, blockAt)
 				continue
 			}
-
-			f := fe.comp
-			var start, alt0, end int32
-			inRange := uint(int(c.Origin)) < uint(f.NumNodes) && uint(int(c.Dest)) < uint(f.NumNodes)
-			if inRange {
-				p := int(c.Origin)*f.NumNodes + int(c.Dest)
-				start, end = f.PairOff[p], f.PairOff[p+1]
-				alt0 = f.AltStart[p]
-			}
-			if !inRange || alt0 == start {
-				// No primaries for the pair: the source table would yield
-				// the empty path, which every state admits as a zero-hop
-				// primary. Book nothing, carry the call.
-				l.admittedRow(c, first+k, slotEmpty, 0, 0, false, measured)
-				if dep := c.Arrival + c.Holding; dep < nextDep {
-					nextDep = dep
-				}
-				continue
-			}
-
-			// Primary selection: single primaries resolve directly;
-			// bifurcated pairs reproduce Table.SelectPrimary's weighted
-			// draw against the precomputed cumulative sums.
-			pr := start
-			if alt0-start > 1 {
-				u := xrand.Uniform01(f.SelectorSeed, int64(c.ID))
-				pr = alt0 - 1
-				for r := start; r < alt0; r++ {
-					if u < f.PrimCum[r] {
-						pr = r
-						break
-					}
-				}
-			}
-			t0 := fe.thresh[0]
-			primOff := f.RowOff[pr]
-			prim := f.Links[primOff:f.RowOff[pr+1]]
-			blockIdx := -1
-			for i, id := range prim {
-				if occ[id] > t0[id] {
-					blockIdx = i
-					break
-				}
-			}
-			if blockIdx < 0 {
+			var off, hops int32
+			if row != RowEmpty {
+				off = comp.RowOff[row]
+				hops = comp.RowOff[row+1] - off
 				// The scan just proved occ <= C−1 on every (up) hop, so the
 				// direct increments cannot overbook; down links never pass
 				// (threshold −1), matching the interpreted admission. Each
 				// hop is flushed at the arrival epoch before its increment —
 				// flushLink with the horizon clip elided (the arrival is
 				// inside the horizon), bit-identical to the general form.
-				for _, id := range prim {
+				for _, id := range comp.Links[off : off+hops] {
 					lo := last[id]
 					if lo < warm {
 						lo = warm
@@ -331,59 +377,12 @@ func (l *loop) runCompiled(comp *routetable.Compiled) {
 					last[id] = c.Arrival
 					occ[id]++
 				}
-				l.admittedRow(c, first+k, pr, primOff, int32(len(prim)), false, measured)
-				if dep := c.Arrival + c.Holding; dep < nextDep {
-					nextDep = dep
-				}
-				continue
 			}
-			if !f.NoAlternates {
-				admitted := false
-				for r := alt0; r < end; r++ {
-					ts := fe.thresh[fe.defAlt]
-					if fe.altSets != nil {
-						ts = fe.thresh[fe.altSets[r]]
-					}
-					altOff := f.RowOff[r]
-					alt := f.Links[altOff:f.RowOff[r+1]]
-					good := true
-					for _, id := range alt {
-						if occ[id] > ts[id] {
-							good = false
-							break
-						}
-					}
-					if good {
-						for _, id := range alt {
-							lo := last[id]
-							if lo < warm {
-								lo = warm
-							}
-							if o := occ[id]; c.Arrival > lo && o != 0 {
-								util[id] += (c.Arrival - lo) * float64(o)
-							}
-							last[id] = c.Arrival
-							occ[id]++
-						}
-						l.admittedRow(c, first+k, r, altOff, int32(len(alt)), true, measured)
-						if dep := c.Arrival + c.Holding; dep < nextDep {
-							nextDep = dep
-						}
-						admitted = true
-						break
-					}
-				}
-				if admitted {
-					continue
-				}
+			// An empty pair's RowEmpty doubles as its slot marker.
+			l.admittedRow(c, first+k, row, off, hops, blockIdx >= 0, measured)
+			if dep := c.Arrival + c.Holding; dep < nextDep {
+				nextDep = dep
 			}
-			blockAt := graph.InvalidLink
-			if measured {
-				// Loss attribution: the primary scan already found the
-				// first blocking link, and no state changed since.
-				blockAt = prim[blockIdx]
-			}
-			l.blocked(c, pairIdx, measured, win, blockAt)
 		}
 	}
 }

@@ -14,11 +14,17 @@ import (
 	"bytes"
 	"fmt"
 	"runtime"
+	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/netmodel"
+	"repro/internal/optimize"
 	"repro/internal/policy"
+	"repro/internal/routetable"
 	"repro/internal/sim"
+	"repro/internal/traffic"
 )
 
 // uncompilable hides the embedded policy's CompileRoutes method, so
@@ -28,7 +34,10 @@ type uncompilable struct{ sim.Policy }
 
 // compiledGoldenPolicies returns every policy expected to run on the
 // compiled fast path for a scenario, including the tiered scheme the
-// shared goldenPolicies helper does not build.
+// shared goldenPolicies helper does not build. NSFNet also gets the
+// min-loss schemes: their bifurcated primaries are the only goldens that
+// reach the kernel's weighted PrimCum draw (min-hop tables have one
+// primary per pair).
 func compiledGoldenPolicies(t *testing.T, sc goldenScenario) map[string]sim.Policy {
 	t.Helper()
 	scheme, err := core.New(sc.g, sc.m, core.Options{H: sc.h})
@@ -39,12 +48,58 @@ func compiledGoldenPolicies(t *testing.T, sc goldenScenario) map[string]sim.Poli
 	if err != nil {
 		t.Fatalf("%s: tiered: %v", sc.name, err)
 	}
-	return map[string]sim.Policy{
+	pols := map[string]sim.Policy{
 		"single-path":  scheme.SinglePath(),
 		"uncontrolled": scheme.Uncontrolled(),
 		"controlled":   scheme.Controlled(),
 		"tiered":       tiered,
 	}
+	if sc.name == "nsfnet-nominal" {
+		minLoss := minLossScheme(t, sc)
+		pols["minloss-single-path"] = minLoss.SinglePath()
+		pols["minloss-uncontrolled"] = minLoss.Uncontrolled()
+		pols["minloss-controlled"] = minLoss.Controlled()
+	}
+	return pols
+}
+
+// minLossNSFNet caches the NSFNet-nominal min-loss optimisation (~0.3 s),
+// which every compiled golden would otherwise redo. Its paths name link
+// and node ids only, so each fresh copy of the topology can reuse them.
+var minLossNSFNet = sync.OnceValues(func() (*optimize.Result, error) {
+	nm, _, err := traffic.NSFNetNominal()
+	if err != nil {
+		return nil, err
+	}
+	return optimize.MinLossPrimaries(netmodel.NSFNet(), nm, optimize.Options{})
+})
+
+// minLossScheme derives a scheme over NSFNet's bifurcated min-loss
+// primaries and fails the test unless some pair really has several.
+func minLossScheme(t *testing.T, sc goldenScenario) *core.Scheme {
+	t.Helper()
+	opt, err := minLossNSFNet()
+	if err != nil {
+		t.Fatalf("%s: min-loss primaries: %v", sc.name, err)
+	}
+	bifurcated := 0
+	for _, wps := range opt.Primaries {
+		if len(wps) > 1 {
+			bifurcated++
+		}
+	}
+	if bifurcated == 0 {
+		t.Fatalf("%s: no pair bifurcates; the PrimCum draw goes untested", sc.name)
+	}
+	tbl, err := policy.BuildBifurcated(sc.g, opt.Primaries, sc.h, 1)
+	if err != nil {
+		t.Fatalf("%s: bifurcated table: %v", sc.name, err)
+	}
+	scheme, err := core.NewWithTable(sc.g, sc.m, tbl, core.Options{H: sc.h})
+	if err != nil {
+		t.Fatalf("%s: min-loss scheme: %v", sc.name, err)
+	}
+	return scheme
 }
 
 // TestCompiledEngineSelection pins down which policies take the fast
@@ -113,15 +168,21 @@ func runPair(t *testing.T, label string, cfg sim.Config) {
 
 // TestGoldenCompiledVsInterpreted is the core fast-path guarantee over
 // the full grid: three topologies, the four compilable policies, five
-// seeds, replayed at GOMAXPROCS 1 and 8. The first seed of each scenario
-// also runs with windowed collection to cover the Windows series.
+// seeds, replayed at GOMAXPROCS 1 and 8. NSFNet's min-loss policies run
+// the first three seeds, which keeps the suite's cost in check. The first
+// seed of each scenario also runs with windowed collection to cover the
+// Windows series.
 func TestGoldenCompiledVsInterpreted(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	for _, gmp := range []int{1, 8} {
 		runtime.GOMAXPROCS(gmp)
 		for _, sc := range goldenScenarios(t) {
 			for pname, pol := range compiledGoldenPolicies(t, sc) {
-				for si, seed := range goldenSeeds {
+				seeds := goldenSeeds
+				if strings.HasPrefix(pname, "minloss-") {
+					seeds = goldenSeeds[:3]
+				}
+				for si, seed := range seeds {
 					label := fmt.Sprintf("gomaxprocs=%d/%s/%s/seed=%d", gmp, sc.name, pname, seed)
 					windowLen := 0.0
 					if si == 0 {
@@ -278,5 +339,55 @@ func TestGoldenCompiledAdaptive(t *testing.T) {
 		if g, w := jsonlBytes(t, compSink.events), jsonlBytes(t, interpSink.events); !bytes.Equal(g, w) {
 			t.Fatalf("%s: JSONL bytes diverge between engines", label)
 		}
+	}
+}
+
+// dropsCompile compiles until *off is set, so a TopologyHook flipping it
+// makes the compiled engine's next recompile fail mid-run.
+type dropsCompile struct {
+	sim.TableCompiler
+	off *bool
+}
+
+func (d dropsCompile) CompileRoutes() (*routetable.Compiled, bool) {
+	if *d.off {
+		return nil, false
+	}
+	return d.TableCompiler.CompileRoutes()
+}
+
+// TestGoldenCompiledRecompileFallback covers the compiled engine losing
+// its table at a failure epoch: from then on it must route every arrival
+// through Policy.Route and still match the interpreted run bit for bit.
+func TestGoldenCompiledRecompileFallback(t *testing.T) {
+	for _, seed := range []int64{3, 4} {
+		label := fmt.Sprintf("recompile-fallback/seed=%d", seed)
+		base := failureGoldenConfig(t, sim.FailoverReroute, seed)
+		off := false
+		compCfg := base
+		compCfg.Policy = dropsCompile{base.Policy.(sim.TableCompiler), &off}
+		compCfg.TopologyHook = func(float64, *sim.State) { off = true }
+		if !sim.CompilesFor(compCfg.Policy, compCfg.Graph) {
+			t.Fatalf("%s: policy does not start on the compiled engine", label)
+		}
+		compSink := &recordSink{}
+		compCfg.Sink = compSink
+		got, err := sim.Run(compCfg)
+		if err != nil {
+			t.Fatalf("%s: compiled: %v", label, err)
+		}
+		if !off {
+			t.Fatalf("%s: no plan epoch ran; the fallback went untested", label)
+		}
+		interpSink := &recordSink{}
+		interpCfg := base
+		interpCfg.Policy = uncompilable{base.Policy}
+		interpCfg.Sink = interpSink
+		want, err := sim.Run(interpCfg)
+		if err != nil {
+			t.Fatalf("%s: interpreted: %v", label, err)
+		}
+		requireSameResult(t, label, got, want)
+		requireSameEvents(t, label, compSink.events, interpSink.events)
 	}
 }

@@ -66,10 +66,11 @@ type traceRank struct {
 	at []float64
 }
 
-// Slot markers for calls that release no route-table row.
+// Slot markers for calls that release no route-table row: the rows
+// Admission.Decide reports for them.
 const (
-	slotUnbooked int32 = -1
-	slotEmpty    int32 = -2
+	slotUnbooked = RowBlocked
+	slotEmpty    = RowEmpty
 )
 
 // orderPool recycles depOrder slot buffers across runs, so back-to-back

@@ -856,23 +856,27 @@ func (l *loop) runInterpreted(src ArrivalSource) {
 		l.drainTo(c.Arrival)
 		pairIdx := int(c.Origin)*l.numNodes + int(c.Dest)
 		measured, win := l.offered(c, pairIdx)
-		if p, alternate, ok := l.cfg.Policy.Route(l.st, c); ok {
-			l.flushPath(p, c.Arrival)
-			l.st.Occupy(p)
-			l.admitted(c, p, alternate, measured)
-			continue
-		}
-		blockAt := graph.InvalidLink
-		if measured {
-			// Attribute the loss to the first blocking link of the primary
-			// path (paper's convention).
-			primary := l.cfg.Policy.PrimaryPath(l.st, c)
-			if admitted, blockLink := l.st.PathAdmitsPrimary(primary); !admitted && blockLink != graph.InvalidLink {
-				blockAt = blockLink
-			}
-		}
-		l.blocked(c, pairIdx, measured, win, blockAt)
+		l.route(c, pairIdx, measured, win)
 	}
+}
+
+// route decides one offered call through Policy.Route, books the path or
+// records the loss, and reports whether the call was admitted.
+func (l *loop) route(c Call, pairIdx int, measured bool, win *WindowStats) bool {
+	if p, alternate, ok := l.cfg.Policy.Route(l.st, c); ok {
+		l.flushPath(p, c.Arrival)
+		l.st.Occupy(p)
+		l.admitted(c, p, alternate, measured)
+		return true
+	}
+	blockAt := graph.InvalidLink
+	if measured {
+		// Attribute the loss to the first blocking link of the primary
+		// path (paper's convention).
+		_, blockAt = l.st.PathAdmitsPrimary(l.cfg.Policy.PrimaryPath(l.st, c))
+	}
+	l.blocked(c, pairIdx, measured, win, blockAt)
+	return false
 }
 
 // finish drains the remaining departures and plan events inside the
@@ -1001,8 +1005,9 @@ func Run(cfg Config) (*Result, error) {
 	l.deps.needMeta = len(plan) > 0
 
 	obs.Emit(l.sink, obs.Event{Kind: obs.KindRunStart, Policy: res.Policy, Seed: seed})
-	if comp, _, ok := compileFor(cfg.Policy, cfg.Graph); ok {
-		l.runCompiled(comp)
+	var adm Admission
+	if adm.Compile(st, cfg.Policy) {
+		l.runCompiled(&adm)
 	} else if cfg.Trace != nil {
 		l.runInterpreted(&traceCursor{t: cfg.Trace})
 	} else {

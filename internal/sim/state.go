@@ -68,8 +68,9 @@ func (s *State) SetLinkDown(id graph.LinkID, down bool) {
 
 // linkCap is the single guarded link lookup behind every admission check:
 // it returns the link's capacity and whether the link is usable (in range
-// and up). Free, AdmitsAlternate, and the compiled threshold builder all
-// share it, so the bounds+down rule lives in exactly one place.
+// and up). Free, AdmitsAlternate, and the compiled threshold builder
+// (Admission.Compile) all share it, so the bounds+down rule lives in
+// exactly one place.
 func (s *State) linkCap(id graph.LinkID) (int, bool) {
 	if uint(id) >= uint(len(s.links)) || s.down[id] {
 		return 0, false
